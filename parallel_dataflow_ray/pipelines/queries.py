@@ -4613,9 +4613,9 @@ def flagship_entry():
 # round-5 driver-window rotation (VERDICT r4 item 7)
 # ---------------------------------------------------------------------------
 # The driver's CORRECTNESS sweep records exactly the FIRST 50 registry
-# entries, so the head-50 is a rotating audit window.  48 of round 4's
+# entries, so the head-50 is a rotating audit window.  47 of round 4's
 # head were (re-)verified in CORRECTNESS_r04; round 5's window =
-# the 2 new r5 queries + the 48 longest-stale gated entries (last
+# the 3 new r5 queries + the 47 longest-stale gated entries (last
 # driver-green in r02/r03), statically computed from the recorded
 # CORRECTNESS_r01..r04 files.  Remaining gated entries keep their
 # previous relative order ahead of the rows-only tail

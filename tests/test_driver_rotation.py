@@ -22,12 +22,11 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # pytest mirror gate until the next CORRECTNESS_r*.json lands, at which
 # point they must either be green there or be moved out of this set.
 # round-4's 36 pending names all went driver-green in CORRECTNESS_r04 and
-# were pruned here (VERDICT r4 item 1).  Add round-5 queries below as they
-# land; prune again once CORRECTNESS_r05.json covers them.
-PENDING_FIRST_DRIVER_WINDOW: set[str] = {
-    # round-5 additions awaiting their first driver window
-    "pagerank_orders_delta", "dedup_lines_docs", "dedup_lines_incremental_docs",
-}
+# were pruned here (VERDICT r4 item 1); round-5's three
+# (pagerank_orders_delta, dedup_lines_docs, dedup_lines_incremental_docs)
+# went driver-green in CORRECTNESS_r05.json and were pruned too.  Declare
+# each new gated query here until a recorded sweep covers it.
+PENDING_FIRST_DRIVER_WINDOW: set[str] = set()
 
 
 def _driver_green() -> dict[str, list[str]]:

@@ -1051,11 +1051,6 @@ class EventCountSum(StreamOpSpec):
     def merge(self, a, b):
         return {"n": a["n"] + b["n"], "vc": a["vc"] + b["vc"]}
 
-    def update(self, state, rows):
-        state["n"] += len(rows)
-        state["vc"] += sum(r["value_cents"] for r in rows)
-        return state
-
     def update_table(self, state, t):
         state["n"] += t.num_rows
         state["vc"] += pc.sum(t["value_cents"]).as_py() or 0

@@ -216,15 +216,16 @@ def kleene_match(ds: rd.Dataset, key: str, ts_col: str, id_col: str,
 class FunnelSpec(StreamOpSpec):
     """Streaming funnel kernel: per (key, window) pattern automaton.
 
-    ``incremental = False`` — the engine buffers rows (offset-keyed, so
-    at-least-once re-delivery dedupes) and calls :meth:`update` exactly
-    once per closed window with the rows in ``(event_ts, offset)``
-    order; that total order is what makes the automaton deterministic
-    and replay-safe, mirroring the reference's in-order transfer fold
-    (``impls/src/sequential.rs:28-44``).  A pattern cannot span
-    windows (each window folds independently — the documented CEP
-    windowing semantics, same as the SQL oracle's PARTITION BY
-    (key, window))."""
+    ``incremental = False`` — the engine keeps Arrow copies of each
+    window's rows and calls :meth:`update_table` exactly once per
+    closed window with the rows deduped by ``offset`` (so at-least-once
+    re-delivery is absorbed) and in ``(event_ts, offset)`` order, with
+    int64 ``event_ts``; that total order is what makes the automaton
+    deterministic and replay-safe, mirroring the reference's in-order
+    transfer fold (``impls/src/sequential.rs:28-44``).  A pattern
+    cannot span windows (each window folds independently — the
+    documented CEP windowing semantics, same as the SQL oracle's
+    PARTITION BY (key, window))."""
 
     name = "funnel"
     incremental = False
@@ -243,22 +244,17 @@ class FunnelSpec(StreamOpSpec):
     def initial_state(self):
         return {}
 
-    def merge(self, a, b):  # offset->row buffer union (salted partials)
-        a.update(b)
-        return a
-
-    def update(self, state, rows: list[dict]):
-        ts = np.fromiter((r["event_ts"] for r in rows), dtype=np.int64,
-                         count=len(rows))
-        et = np.array([r[self.type_column] for r in rows], dtype=object)
+    def update_table(self, state, t):
+        ts = t["event_ts"].to_numpy()
+        et = t[self.type_column].to_numpy(zero_copy_only=False)
         done = funnel_scan(ts, et, self.steps, self.gap_us,
                            reset=self.reset)
         n = int(done.sum())
         return {"n": n, "first": int(ts[done].min()) if n else None}
 
     def finish(self, key, window, state):
-        if not state or not state.get("n"):
-            return None  # buffered state never folded (empty) or no match
+        if not state["n"]:
+            return None  # no match
         return {self.key_column: key, "window_start_us": int(window[0]),
                 "n_funnels": state["n"], "first_funnel_us": state["first"]}
 
@@ -266,11 +262,12 @@ class FunnelSpec(StreamOpSpec):
 class KleeneSpec(StreamOpSpec):
     """Streaming Kleene-plus kernel: per (key, window) strict-contiguity
     ``pre mid+ post`` matching — the same run automaton as
-    :func:`kleene_frame`, folded once per closed window over the
-    engine's offset-deduped buffer in ``(event_ts, offset)`` order
-    (``incremental = False``, the buffered-fold contract shared with
-    :class:`FunnelSpec`).  A run never spans windows; the SQL twin
-    partitions by (key, window) identically."""
+    :func:`kleene_frame`, folded by one :meth:`update_table` call per
+    closed window over the engine's offset-deduped buffer in
+    ``(event_ts, offset)`` order (``incremental = False``, the
+    buffered-fold contract shared with :class:`FunnelSpec`).  A run
+    never spans windows; the SQL twin partitions by (key, window)
+    identically."""
 
     name = "kleene"
     incremental = False
@@ -287,15 +284,10 @@ class KleeneSpec(StreamOpSpec):
     def initial_state(self):
         return {}
 
-    def merge(self, a, b):  # offset->row buffer union (salted partials)
-        a.update(b)
-        return a
-
-    def update(self, state, rows: list[dict]):
-        n = len(rows)
-        ts = np.fromiter((r["event_ts"] for r in rows), dtype=np.int64,
-                         count=n)
-        et = np.array([r[self.type_column] for r in rows], dtype=object)
+    def update_table(self, state, t):
+        n = t.num_rows
+        ts = t["event_ts"].to_numpy()
+        et = t[self.type_column].to_numpy(zero_copy_only=False)
         g = pd.DataFrame({"__k": np.zeros(n, np.int64), "__ts": ts,
                           "__id": np.arange(n, dtype=np.int64), "__et": et})
         res = kleene_frame(g, "__k", "__ts", "__id", "__et",
@@ -307,7 +299,7 @@ class KleeneSpec(StreamOpSpec):
                 "first": int(r["first_match_us"])}
 
     def finish(self, key, window, state):
-        if not state or not state.get("n"):
+        if not state["n"]:
             return None
         return {self.key_column: key, "window_start_us": int(window[0]),
                 "n_matches": state["n"], "n_mid": state["n_mid"],

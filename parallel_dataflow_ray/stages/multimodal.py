@@ -1,9 +1,9 @@
 """Multimodal columns: opaque binary payloads + typed metadata.
 
 Audio decode is REAL (pcm16/ulaw via numpy — see ``functions.audio``).
-Image/video decode needs external libs absent from this container, so
-those kernels are deterministic fakes / NotImplementedError stubs with
-REAL Ray-side plumbing: schema handling, actor-pool stage shape, batch
+Video decode needs external libs absent from this container, so that
+kernel is a deterministic fake / NotImplementedError stub with REAL
+Ray-side plumbing: schema handling, actor-pool stage shape, batch
 sizing for wide binary rows, and output layout are all exercised by
 tests.
 """
@@ -11,11 +11,8 @@ tests.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data as rd
-
-from ..functions.audio import bytes_per_sample, decode_clip, SUPPORTED_CODECS
 
 
 class AudioFeatureStage:
@@ -58,22 +55,6 @@ def audio_features(ds: rd.Dataset, *, concurrency=None, batch_size=256
     return ds.map_batches(AudioFeatureStage(), batch_format="pyarrow",
                           batch_size=batch_size,
                           concurrency=concurrency, num_cpus=1)
-
-
-def validate_clip_sizes(ds: rd.Dataset) -> rd.Dataset:
-    """Metadata-only integrity check: len(bytes) must equal
-    sr_hz * dur_ms / 1000 * bytes_per_sample(codec)."""
-
-    def check(t: pa.Table) -> pa.Table:
-        lens = pa.compute.binary_length(t["bytes"]).to_numpy()
-        sr = t["sr_hz"].to_numpy()
-        dur = t["dur_ms"].to_numpy()
-        bps = np.array([bytes_per_sample(c) if c in SUPPORTED_CODECS else -1
-                        for c in t["codec"].to_pylist()])
-        expect = (sr.astype(np.int64) * dur // 1000) * bps
-        return t.append_column("size_ok", pa.array(lens == expect))
-
-    return ds.map_batches(check, batch_format="pyarrow")
 
 
 class VideoFrameSampleStage:
@@ -133,31 +114,3 @@ def sample_video_frames(ds: rd.Dataset, *, stride: int = 10,
         fn_constructor_kwargs=dict(stride=stride, id_col=id_col),
         batch_format="pyarrow", batch_size=batch_size,
         concurrency=concurrency, num_cpus=1)
-
-
-class ImageDecodeStage:
-    """STUB: image decode plumbing (schema + actor shape are real; the
-    codec is not available in this container).
-
-    In ``fake`` mode emits deterministic pseudo-features derived from the
-    payload bytes so pipelines and tests can exercise the full topology.
-    """
-
-    def __init__(self, mode: str = "fake"):
-        if mode not in ("fake", "strict"):
-            raise ValueError(mode)
-        self.mode = mode
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.mode == "strict":
-            raise NotImplementedError(
-                "image decoding requires PIL/opencv, not present in this "
-                "container; run with mode='fake' for plumbing tests")
-        payloads = batch["bytes"].to_pylist()
-        h = np.array([len(p or b"") for p in payloads], dtype=np.int64)
-        checksum = np.array([int(np.frombuffer(p[:8].ljust(8, b"\0"), "<u8")[0] & 0x7FFFFFFF)
-                             if p else 0 for p in payloads], dtype=np.int64)
-        out = batch.drop_columns(["bytes"])
-        out = out.append_column("payload_len", pa.array(h))
-        out = out.append_column("payload_checksum", pa.array(checksum))
-        return out

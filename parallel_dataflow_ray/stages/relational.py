@@ -433,17 +433,6 @@ def broadcast_lookup(ds: rd.Dataset, lookup_df: pd.DataFrame, on: str,
     return ds.map_batches(Lookup(), batch_format="pandas", batch_size=65536)
 
 
-def hash_join(left: rd.Dataset, right: rd.Dataset, on: tuple,
-              right_on: tuple | None = None, num_partitions: int = 16,
-              join_type: str = "inner") -> rd.Dataset:
-    """Hash-partitioned distributed join (Ray Data native).  Best for
-    one-shot large⋈large joins; each call spins up a hash-shuffle
-    aggregator actor pool sized to ``num_partitions`` — for repeated /
-    small-side joins prefer :func:`bucket_join` (no actor pools)."""
-    return left.join(right, join_type=join_type, num_partitions=num_partitions,
-                     on=on, right_on=right_on)
-
-
 def bucket_join(left: rd.Dataset, right: rd.Dataset, on: str,
                 right_on: str | None = None, *, num_buckets: int = 32,
                 how: str = "inner") -> rd.Dataset:

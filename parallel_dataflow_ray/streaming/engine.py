@@ -283,7 +283,8 @@ class PartitionWorker:
         emitted = canonical_sort(self._pending)
         self._pending = []
         table = pa.Table.from_pylist(emitted) if emitted else None
-        elapsed = self._ingest_s + (self._time.perf_counter() - t0)
+        t_commit = self._time.perf_counter()
+        elapsed = self._ingest_s + (t_commit - t0)
         if self.sink is not None and commit:
             self.sink.commit(epoch, table, watermark=wm,
                              max_offset=self.max_offset, elapsed_s=elapsed)
@@ -293,11 +294,16 @@ class PartitionWorker:
             self.late_sink.commit(epoch, late_tbl, watermark=wm,
                                   max_offset=self.max_offset,
                                   elapsed_s=elapsed)
+        t_ckpt = self._time.perf_counter()
         if self.ckpt is not None and checkpoint and commit:
             self.ckpt.save(epoch, self.op.snapshot(), wm, self.max_offset)
+        # elapsed_s is ingest + close + emit; the sink commits and the
+        # checkpoint (fsync included) are timed on their own
         out = {"partition": self.partition, "epoch": epoch,
                "emitted": len(emitted), "late_rows": self.op.late_rows,
                "rows_seen": self.op.rows_seen, "elapsed_s": elapsed,
+               "commit_s": t_ckpt - t_commit,
+               "ckpt_s": self._time.perf_counter() - t_ckpt,
                "wait_s": getattr(self, "_wait_s", 0.0)}
         if self._track_keys and self._key_counts:
             import heapq as _hq
@@ -402,13 +408,13 @@ class StreamEngine:
         #: split task and ship ONLY partials — legal exactly when salted
         #: splitting is legal (semilattice merge over disjoint row
         #: subsets).  "auto" turns it on for incremental tumbling/
-        #: sliding window specs exposing update_table, unless skew
-        #: salting / runtime hot-key detection is in play (combining
-        #: already collapses a hot key to <=1 partial per block, so
-        #: those row-path modes are kept as-is for their own tests).
+        #: sliding window specs, unless skew salting / runtime hot-key
+        #: detection is in play (combining already collapses a hot key
+        #: to <=1 partial per block, so those row-shipping modes are
+        #: kept as-is for their own tests).
         assigner = op_kwargs.get("assigner")
         combinable = (op_kind == "window" and isinstance(spec, StreamOpSpec)
-                      and spec.incremental and hasattr(spec, "update_table")
+                      and spec.incremental
                       and getattr(assigner, "kind", None) in ("tumbling",
                                                               "sliding"))
         if map_side_combine == "auto":
@@ -418,8 +424,7 @@ class StreamEngine:
             self.combine = bool(map_side_combine)
             if self.combine and not combinable:
                 raise ValueError("map_side_combine requires an incremental "
-                                 "tumbling/sliding window spec with "
-                                 "update_table")
+                                 "tumbling/sliding window spec")
             if self.combine and (self.salted_keys or self.hot_key_config):
                 raise ValueError("map_side_combine subsumes skew salting; "
                                  "configure one or the other")

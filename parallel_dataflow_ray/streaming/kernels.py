@@ -56,9 +56,9 @@ class ActiveVersions(StreamOpSpec):
                 out[k] = v
         return out
 
-    def update(self, state: dict, rows: list[dict]) -> dict:
-        for r in rows:
-            cid, off = r["clip_id"], r["offset"]
+    def update_table(self, state: dict, t) -> dict:
+        for cid, off in zip(t["clip_id"].to_pylist(),
+                            t["offset"].to_pylist()):
             if cid not in state or off > state[cid]:
                 state[cid] = off
         return state
@@ -93,13 +93,13 @@ class FirstSeen(StreamOpSpec):
                 out[k] = v
         return {"first": out, "n_rows": a["n_rows"] + b["n_rows"]}
 
-    def update(self, state: dict, rows: list[dict]) -> dict:
+    def update_table(self, state: dict, t) -> dict:
         f = state["first"]
-        for r in rows:
-            cid, off = r["clip_id"], r["offset"]
+        for cid, off in zip(t["clip_id"].to_pylist(),
+                            t["offset"].to_pylist()):
             if cid not in f or off < f[cid]:
                 f[cid] = off
-            state["n_rows"] += 1
+        state["n_rows"] += t.num_rows
         return state
 
     def finish(self, key, window, state) -> dict:
@@ -125,13 +125,6 @@ class ContentDedup(StreamOpSpec):
     key_column = "speaker_id"
     value_columns = ("bytes", "codec", "clip_id")
 
-    @staticmethod
-    def _fp(codec: str, payload: bytes) -> int:
-        import hashlib
-        h = hashlib.blake2b(codec.encode() + b"\0" + (payload or b""),
-                            digest_size=8).digest()
-        return int.from_bytes(h, "little")
-
     def initial_state(self) -> dict:
         return {"first": {}, "n_rows": 0}
 
@@ -142,19 +135,9 @@ class ContentDedup(StreamOpSpec):
                 out[k] = v
         return {"first": out, "n_rows": a["n_rows"] + b["n_rows"]}
 
-    def update(self, state: dict, rows: list[dict]) -> dict:
-        f = state["first"]
-        for r in rows:
-            fp = self._fp(r["codec"], r["bytes"])
-            v = (r["offset"], r["clip_id"])
-            if fp not in f or v < f[fp]:
-                f[fp] = v
-            state["n_rows"] += 1
-        return state
-
     def update_table(self, state: dict, t) -> dict:
-        """Vectorized-ish path: zero-copy payload views over the Arrow
-        binary buffer; the per-row work is one C blake2b call."""
+        """Zero-copy payload views over the Arrow binary buffer; the
+        per-row work is one C blake2b call."""
         import hashlib
 
         import pyarrow as pa
@@ -209,10 +192,11 @@ class ReverseLiveWords(StreamOpSpec):
     def merge(self, a: set, b: set) -> set:
         return a | b
 
-    def update(self, state: set, rows: list[dict]) -> set:
+    def update_table(self, state: set, t) -> set:
         live = set(state)
-        for r in rows:  # rows arrive already sorted descending by event_ts
-            words = (r["transcript"] or "").split()
+        # rows arrive already sorted descending by event_ts
+        for transcript in t["transcript"].to_pylist():
+            words = (transcript or "").split()
             if not words:
                 continue
             dest, args = words[0], words[1:]
@@ -245,10 +229,9 @@ class MetaConstants(StreamOpSpec):
                 out[k] = v
         return out
 
-    def update(self, state: dict, rows: list[dict]) -> dict:
-        for r in rows:
-            for f in self.fields:
-                v = r[f]
+    def update_table(self, state: dict, t) -> dict:
+        for f in self.fields:
+            for v in dict.fromkeys(t[f].to_pylist()):  # distinct values
                 if f in state and state[f] != v:
                     state[f] = TOP
                 elif f not in state:
@@ -281,9 +264,9 @@ class CommonWords(StreamOpSpec):
             return a
         return a & b
 
-    def update(self, state, rows: list[dict]):
-        for r in rows:
-            words = frozenset((r["transcript"] or "").split())
+    def update_table(self, state, t):
+        for transcript in t["transcript"].to_pylist():
+            words = frozenset((transcript or "").split())
             state = words if state is None else (state & words)
         return state
 
@@ -309,12 +292,6 @@ class ClipStats(StreamOpSpec):
     def merge(self, a: dict, b: dict) -> dict:
         return {"n": a["n"] + b["n"], "dur_ms": a["dur_ms"] + b["dur_ms"],
                 "max_sr": max(a["max_sr"], b["max_sr"])}
-
-    def update(self, state: dict, rows: list[dict]) -> dict:
-        state["n"] += len(rows)
-        state["dur_ms"] += sum(r["dur_ms"] for r in rows)
-        state["max_sr"] = max([state["max_sr"]] + [r["sr_hz"] for r in rows])
-        return state
 
     def update_table(self, state: dict, table) -> dict:
         import pyarrow.compute as pc
@@ -354,42 +331,15 @@ class AudioEnergy(StreamOpSpec):
                 "sumsq_q": a["sumsq_q"] + b["sumsq_q"],
                 "peak_q": max(a["peak_q"], b["peak_q"])}
 
-    def update(self, state: dict, rows: list[dict]) -> dict:
-        for r in rows:
-            pcm = decode_clip(r["bytes"], r["codec"])
-            state["n_clips"] += 1
-            state["n_samples"] += pcm.size
-            sumsq = float(np.sum(np.square(pcm, dtype=np.float64)))
-            state["sumsq_q"] += int(round(sumsq * self._Q))
-            peak = float(np.max(np.abs(pcm))) if pcm.size else 0.0
-            state["peak_q"] = max(state["peak_q"], int(round(peak * self._Q)))
-        return state
-
     def update_table(self, state: dict, t) -> dict:
-        """Vectorized path: zero-copy PCM views over the Arrow binary
-        buffer (no per-row bytes materialization)."""
-        import pyarrow as pa
-
-        col = t["bytes"]
-        if col.num_chunks == 1:
-            ba = col.chunk(0)
-        elif col.num_chunks == 0:
+        """Zero-copy PCM views over the Arrow binary buffer (no per-row
+        bytes materialization)."""
+        seg = _decode_segments(t)
+        if seg is None:
             return state
-        else:
-            ba = pa.concat_arrays(col.chunks)
-        bufs = ba.buffers()
-        offs = np.frombuffer(bufs[1], dtype=np.int32)[ba.offset:ba.offset + len(ba) + 1]
-        vals = np.frombuffer(bufs[2], dtype=np.uint8)
-        codecs = t["codec"].to_pylist()
+        offs, vals, codecs = seg
         for i, codec in enumerate(codecs):
-            seg = vals[offs[i]:offs[i + 1]]
-            if codec == "pcm16":
-                pcm = seg.view("<i2").astype(np.float32) / 32767.0
-            elif codec == "ulaw":
-                y = seg.astype(np.float32) / 127.5 - 1.0
-                pcm = np.sign(y) * np.expm1(np.abs(y) * np.log1p(255.0)) / 255.0
-            else:
-                pcm = decode_clip(seg.tobytes(), codec)
+            pcm = _pcm_of(vals[offs[i]:offs[i + 1]], codec)
             state["n_clips"] += 1
             state["n_samples"] += pcm.size
             sumsq = float(np.sum(np.square(pcm, dtype=np.float64)))
@@ -539,11 +489,6 @@ class AudioSpectral(StreamOpSpec):
         state["band_q"] = [x + y for x, y in zip(state["band_q"], bq)]
         state["mel_q"] = [x + y for x, y in zip(state["mel_q"], mq)]
 
-    def update(self, state: dict, rows: list[dict]) -> dict:
-        for r in rows:
-            self._fold(state, decode_clip(r["bytes"], r["codec"]))
-        return state
-
     def update_table(self, state: dict, t) -> dict:
         seg = _decode_segments(t)
         if seg is None:
@@ -618,11 +563,6 @@ class QuantileHist(StreamOpSpec):
     def _indices(self, v: np.ndarray) -> np.ndarray:
         return np.ceil(np.log(v.astype(np.float64)) / self._lg).astype(np.int64)
 
-    def update(self, state: dict, rows: list[dict]) -> dict:
-        v = np.fromiter((r["dur_ms"] for r in rows), dtype=np.float64,
-                        count=len(rows))
-        return self._ingest(state, v)
-
     def update_table(self, state: dict, t) -> dict:
         return self._ingest(state, t["dur_ms"].to_numpy(zero_copy_only=False))
 
@@ -684,16 +624,6 @@ class TopItems(StreamOpSpec):
             a[w] = a.get(w, 0) + c
         return a
 
-    def update(self, state: dict, rows: list[dict]) -> dict:
-        col = self.item_column
-        for r in rows:
-            if self.split:
-                for w in (r[col] or "").split():
-                    state[w] = state.get(w, 0) + 1
-            else:
-                state[r[col]] = state.get(r[col], 0) + 1
-        return state
-
     def update_table(self, state: dict, t) -> dict:
         vals = t[self.item_column].to_pylist()
         if self.split:
@@ -749,9 +679,9 @@ class ClipProfile(CompositeSpec):
     over the clip stream in ONE shuffle — three aggregates (numeric
     partial+final, log-bucket quantile sketch, exact top-k counter)
     that would otherwise cost three engine runs.  All three subs are
-    incremental with ``update_table``, so the composite keeps the
-    vectorized fast path AND map-side combine; registration sweeps the
-    componentwise semilattice through the full differential matrix."""
+    incremental, so the composite is too and keeps map-side combine;
+    registration sweeps the componentwise semilattice through the full
+    differential matrix."""
 
     name = "clip_profile"
     key_column = "speaker_id"
@@ -789,11 +719,6 @@ class VocabSketch(StreamOpSpec):
 
     def merge(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.maximum(a, b)
-
-    def update(self, state: np.ndarray, rows: list[dict]) -> np.ndarray:
-        return self._ingest(
-            state, [w for r in rows
-                    for w in (r["transcript"] or "").split()])
 
     def update_table(self, state: np.ndarray, t) -> np.ndarray:
         return self._ingest(
@@ -855,13 +780,8 @@ class SampleKMV(StreamOpSpec):
     def merge(self, a: list, b: list) -> list:
         return sorted(set(a) | set(b))[:self.K]
 
-    def update(self, state: list, rows: list[dict]) -> list:
-        return self._ingest(state, [r["clip_id"] for r in rows])
-
     def update_table(self, state: list, t) -> list:
-        return self._ingest(state, t["clip_id"].to_pylist())
-
-    def _ingest(self, state: list, ids: list[str]) -> list:
+        ids = t["clip_id"].to_pylist()
         if not ids:
             return state
         from ..functions.hashing import _stable_token_hashes
@@ -946,16 +866,9 @@ class CMSWatch(StreamOpSpec):
         a["n"] = a["n"] + b["n"]
         return a
 
-    def update(self, state, rows: list[dict]):
-        words = " ".join((r[self.item_column] or "") for r in rows).split()
-        return self._ingest(state, words)
-
     def update_table(self, state, t):
         words = " ".join(
             v or "" for v in t[self.item_column].to_pylist()).split()
-        return self._ingest(state, words)
-
-    def _ingest(self, state, words: list[str]):
         if not words:
             return state
         uniq, counts = np.unique(np.array(words, dtype=object),

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import pickle
+from functools import reduce
 from typing import Any
 
 import numpy as np
@@ -28,31 +29,71 @@ from .spec import StreamOpSpec
 from .windows import SessionWindows
 
 
-def _rows_of(table: pa.Table) -> list[dict]:
-    return table.to_pylist()
+def _empty_state(spec):
+    return spec.initial_state() if spec.incremental else []
 
 
-def _sort_rows(rows: list[dict], reverse: bool) -> list[dict]:
-    return sorted(rows, key=lambda r: (r["event_ts"], r["offset"]), reverse=reverse)
+def _fold_run(spec, state, run: pa.Table):
+    """Add one (key, window) run to a state: an incremental spec folds
+    it, a buffered spec (``incremental = False``) keeps a copy for
+    :func:`_close_state`.  The copy is a ``take``, not a slice: a pickled
+    slice carries its parent table's whole buffers into checkpoints and
+    shipped partials."""
+    if spec.incremental:
+        return spec.update_table(state, run)
+    return state + [run.take(pa.array(np.arange(run.num_rows)))]
+
+
+def merge_states(spec, a, b):
+    """Combine two partial states of one (key, window): the spec's
+    semilattice merge, or the union of two run buffers."""
+    return spec.merge(a, b) if spec.incremental else a + b
+
+
+def _close_state(spec, state):
+    """The state ``finish`` sees.  A buffered spec's run buffer is
+    deduped by ``offset`` (idempotent re-ingest), sorted by
+    ``(event_ts, offset)`` — descending for ``order == "reverse"`` —
+    with ``event_ts`` as int64, and folded by ONE ``update_table``."""
+    if spec.incremental:
+        return state
+    t = pa.concat_tables(state, promote_options="default")
+    ts = t["event_ts"].cast(pa.int64())
+    t = t.set_column(t.schema.get_field_index("event_ts"), "event_ts", ts)
+    off = t["offset"].to_numpy()
+    _, first = np.unique(off, return_index=True)
+    order = first[np.lexsort((off[first], ts.to_numpy()[first]))]
+    if spec.order == "reverse":
+        order = order[::-1]
+    return spec.update_table(spec.initial_state(), t.take(pa.array(order)))
+
+
+def _key_codes(table: pa.Table, key_column: str):
+    """Factorize a key column.  Null keys are refused: pandas codes them
+    -1, which would index (and fold into) the last real key."""
+    import pandas as pd
+
+    codes, uniq = pd.factorize(
+        np.asarray(table[key_column].to_pylist(), dtype=object))
+    if (codes < 0).any():
+        raise ValueError(f"null value in key column {key_column!r}")
+    return codes, uniq
 
 
 def _window_runs(table: pa.Table, spec, assigner, ts_column: str,
                  wm_prev: int):
     """Vectorized (key, window) run-grouping shared by the partition
-    fast path and the map-side combiner: assign every non-late row to
+    operator and the map-side combiner: assign every non-late row to
     its covering pane(s), sort indices by (key, window), and return
     ``(sorted_tbl, runs, kcodes, kuniq, late)`` with ``runs`` =
     ``[(kcode, window, start, end)]`` over ``sorted_tbl`` slices and
     ``late`` the per-input-row late mask (tumbling: the row's single
-    pane closed; sliding: even its NEWEST pane closed — matching the
-    row path's "no pane accepted")."""
-    import pandas as pd
-
+    pane closed; sliding: even its NEWEST pane closed, so no pane
+    accepts the row)."""
     n = table.num_rows
     ts = table[ts_column].cast(pa.int64()).to_numpy()
     size = assigner.size_us
-    keys = table[spec.key_column].to_pylist()
-    kcodes, kuniq = pd.factorize(np.asarray(keys, dtype=object))
+    kcodes, kuniq = _key_codes(table, spec.key_column)
     if assigner.kind == "tumbling":
         idx = np.arange(n)
         ws = (ts // size) * size
@@ -102,7 +143,7 @@ def combine_window_block(table: pa.Table, spec, assigner, ts_column: str,
     partition: ``{"partials": [(key, window, state)], "rows": routed
     row count (late included), "late": routed late count,
     "max_offset": max routed offset or -1}`` — the same per-partition
-    accounting the row path produces."""
+    accounting the row-shipping split produces."""
     from .partitioning import partition_ids
 
     sorted_tbl, runs, kcodes, kuniq, late = _window_runs(
@@ -152,7 +193,7 @@ class WindowedAggregateOp:
         #: instead of finishing locally (skew splitting, SURVEY §4 —
         #: valid because ``spec.merge`` is a semilattice combine)
         self.partial_keys = frozenset(partial_keys)
-        self.states: dict[tuple, Any] = {}      # (key, window) -> state | {offset: row}
+        self.states: dict[tuple, Any] = {}      # (key, window) -> state | [run, ...]
         self.heap: list[tuple[int, Any, tuple]] = []  # (end, key, window)
         self.live: set[tuple] = set()
         self.late_rows = 0
@@ -165,56 +206,12 @@ class WindowedAggregateOp:
         self._late_tbls: list[pa.Table] = []
 
     def apply(self, table: pa.Table, wm_prev: int) -> None:
+        """Ingest one epoch: numpy grouping by (key, window) — sliding
+        windows replicate row INDICES per covering pane (ceil(size/
+        slide) panes), the batch-layer ``explode_sliding`` shape kept
+        columnar — then one Arrow run per group into its state."""
         if table.num_rows == 0:
             return
-        spec = self.spec
-        if (spec.incremental and hasattr(spec, "update_table")
-                and self.assigner.kind in ("tumbling", "sliding")):
-            self._apply_vectorized(table, wm_prev)
-            return
-        key_col = table[spec.key_column].to_pylist()
-        ts = table[self.ts_column].cast(pa.int64()).to_numpy()
-        windows = self.assigner.assign_many(ts)
-        rows = _rows_of(table)
-        self.rows_seen += len(rows)
-        groups: dict[tuple, list[dict]] = {}
-        late_idx: list[int] = []
-        for i, (row, key, t, wins) in enumerate(zip(rows, key_col, ts,
-                                                    windows)):
-            row["event_ts"] = int(t)  # normalize timestamps to int64 us
-            accepted = False
-            for w in wins:
-                if wm_prev >= w[1]:
-                    continue  # window already closed -> late for this pane
-                accepted = True
-                groups.setdefault((key, w), []).append(row)
-            if not accepted:
-                self.late_rows += 1
-                late_idx.append(i)
-        if self.capture_late and late_idx:
-            self._late_tbls.append(table.take(pa.array(late_idx)))
-        for (key, w), grp in groups.items():
-            kw = (key, w)
-            if kw not in self.states:
-                self.states[kw] = spec.initial_state() if spec.incremental else {}
-                heapq.heappush(self.heap, (w[1], key, w))
-                self.live.add(kw)
-            if spec.incremental:
-                self.states[kw] = spec.update(self.states[kw], _sort_rows(grp, False))
-            else:
-                buf = self.states[kw]
-                for row in grp:
-                    buf[row["offset"]] = row  # offset-keyed -> idempotent re-ingest
-
-    def _apply_vectorized(self, table: pa.Table, wm_prev: int) -> None:
-        """Tumbling/sliding fast path for incremental specs exposing
-        ``update_table``: numpy grouping by (key, window) + one Arrow
-        slice per group — no per-row dict conversion in the hot loop.
-        Sliding replicates row INDICES per covering pane (ceil(size/
-        slide) panes) before the same run-grouping — the batch-layer
-        ``explode_sliding`` shape, kept columnar."""
-        import heapq as _hq
-
         spec = self.spec
         self.rows_seen += table.num_rows
         sorted_tbl, runs, _, kuniq, late = _window_runs(
@@ -226,11 +223,11 @@ class WindowedAggregateOp:
             key = kuniq[kc]
             kw = (key, w)
             if kw not in self.states:
-                self.states[kw] = spec.initial_state()
-                _hq.heappush(self.heap, (w[1], key, w))
+                self.states[kw] = _empty_state(spec)
+                heapq.heappush(self.heap, (w[1], key, w))
                 self.live.add(kw)
-            self.states[kw] = spec.update_table(self.states[kw],
-                                                sorted_tbl.slice(s, e - s))
+            self.states[kw] = _fold_run(spec, self.states[kw],
+                                        sorted_tbl.slice(s, e - s))
 
     def ingest_partials(self, payload: dict) -> None:
         """Map-side-combined ingest: merge per-(key, window) partial
@@ -239,8 +236,6 @@ class WindowedAggregateOp:
         block's routed row/late accounting.  A partial's window can
         never already be closed here: the split evaluated lateness with
         this epoch's ``wm_prev``, and watermarks are monotone."""
-        import heapq as _hq
-
         self.rows_seen += payload["rows"]
         self.late_rows += payload["late"]
         lt = payload.get("late_tbl")
@@ -249,13 +244,12 @@ class WindowedAggregateOp:
         spec = self.spec
         for key, w, state in payload["partials"]:
             kw = (key, w)
-            cur = self.states.get(kw)
-            if cur is None:
+            if kw not in self.states:
                 self.states[kw] = state
-                _hq.heappush(self.heap, (w[1], key, w))
+                heapq.heappush(self.heap, (w[1], key, w))
                 self.live.add(kw)
             else:
-                self.states[kw] = spec.merge(cur, state)
+                self.states[kw] = spec.merge(self.states[kw], state)
 
     def on_watermark(self, wm: int) -> list[dict]:
         rows, partials = self.on_watermark_split(wm)
@@ -280,14 +274,11 @@ class WindowedAggregateOp:
             self.live.discard(kw)
             state = self.states.pop(kw)
             if key in self.partial_keys:
-                # ship the raw partial (buffer for non-incremental specs —
-                # the owner folds the UNION in full event order)
+                # ship the raw partial (run buffer for non-incremental
+                # specs — the owner folds the UNION in full event order)
                 partials.append((key, w, state))
                 continue
-            if not spec.incremental:
-                rows = _sort_rows(list(state.values()), spec.order == "reverse")
-                state = spec.update(spec.initial_state(), rows)
-            row = spec.finish(key, w, state)
+            row = spec.finish(key, w, _close_state(spec, state))
             if row is not None:
                 out.append(row)
         return out, partials
@@ -295,23 +286,14 @@ class WindowedAggregateOp:
     def merge_partials(self, groups: dict[tuple, list[Any]]) -> list[dict]:
         """Owner-side merge of salted partial states: {(key, window):
         [state, ...]} -> finished rows.  For buffered (non-incremental)
-        specs the partials arrive as offset->row buffers and are folded
-        here in full event order."""
+        specs the partials arrive as run buffers and are folded here in
+        full event order."""
         spec = self.spec
         out = []
         for (key, w), states in sorted(groups.items(),
                                        key=lambda kv: (kv[0][1], str(kv[0][0]))):
-            if not spec.incremental:
-                buf: dict = {}
-                for s in states:
-                    buf.update(s)
-                rows = _sort_rows(list(buf.values()), spec.order == "reverse")
-                merged = spec.update(spec.initial_state(), rows)
-            else:
-                merged = states[0]
-                for s in states[1:]:
-                    merged = spec.merge(merged, s)
-            row = spec.finish(key, w, merged)
+            merged = reduce(lambda a, b: merge_states(spec, a, b), states)
+            row = spec.finish(key, w, _close_state(spec, merged))
             if row is not None:
                 out.append(row)
         return out
@@ -345,8 +327,8 @@ class SessionAggregateOp:
     """Session windows: per-key interval merging of partial sessions.
 
     A row opens the interval ``[ts, ts+gap)``; overlapping intervals for
-    the same key merge (and their states merge via ``spec.merge`` —
-    legal because merge is a semilattice combine).  A session closes
+    the same key merge (and their states merge via :func:`merge_states`
+    — legal because merge is a semilattice combine).  A session closes
     when the watermark passes its end.
     """
 
@@ -364,27 +346,13 @@ class SessionAggregateOp:
 
     take_late = WindowedAggregateOp.take_late
 
-    def _mk_state(self, rows: list[dict]):
-        if self.spec.incremental:
-            return self.spec.update(self.spec.initial_state(), _sort_rows(rows, False))
-        return {r["offset"]: r for r in rows}
-
-    def _merge_states(self, a, b):
-        if self.spec.incremental:
-            return self.spec.merge(a, b)
-        a.update(b)
-        return a
-
     def apply(self, table: pa.Table, wm_prev: int) -> None:
         """Vectorized ingest: sort the batch by (key, ts), split into
         per-key gap segments (each a partial session covering a whole
-        run of rows), build ONE state per segment (``update_table`` for
-        incremental specs — no per-row dicts), then interval-merge each
-        segment into the key's open sessions.  Per-Python work drops
-        from per-row to per-segment; semantics match the row-at-a-time
-        path because session state merge is a semilattice combine."""
-        import pandas as pd
-
+        run of rows), build ONE state per segment, then interval-merge
+        each segment into the key's open sessions.  Per-Python work is
+        per segment, not per row; the result is the row-at-a-time one
+        because session state merge is a semilattice combine."""
         if table.num_rows == 0:
             return
         n = table.num_rows
@@ -399,8 +367,7 @@ class SessionAggregateOp:
             return
         tbl = table.take(pa.array(keep))
         ts = ts[keep]
-        keys = tbl[self.spec.key_column].to_pylist()
-        kcodes, kuniq = pd.factorize(np.asarray(keys, dtype=object))
+        kcodes, kuniq = _key_codes(tbl, self.spec.key_column)
         order = np.lexsort((ts, kcodes))
         ts_s, kc_s = ts[order], kcodes[order]
         tbl_s = tbl.take(pa.array(order))
@@ -410,28 +377,11 @@ class SessionAggregateOp:
                       out=brk[1:])
         starts = np.nonzero(brk)[0]
         ends = np.append(starts[1:], ts_s.size)
-        fast = self.spec.incremental and hasattr(self.spec, "update_table")
+        spec = self.spec
         for s, e in zip(starts, ends):
-            key = kuniq[kc_s[s]]
-            seg = tbl_s.slice(s, e - s)
-            if fast:
-                state = self.spec.update_table(self.spec.initial_state(), seg)
-            elif self.spec.incremental:
-                rows = _rows_of(seg)
-                for r, t in zip(rows, ts_s[s:e]):
-                    r["event_ts"] = int(t)
-                state = self.spec.update(self.spec.initial_state(),
-                                         _sort_rows(rows, False))
-            else:
-                rows = _rows_of(seg)
-                for r, t in zip(rows, ts_s[s:e]):
-                    r["event_ts"] = int(t)
-                state = {r["offset"]: r for r in rows}
-            self._insert_interval(key, int(ts_s[s]),
+            state = _fold_run(spec, _empty_state(spec), tbl_s.slice(s, e - s))
+            self._insert_interval(kuniq[kc_s[s]], int(ts_s[s]),
                                   int(ts_s[e - 1]) + self.gap_us, state)
-
-    def _insert(self, key, t: int, row: dict) -> None:
-        self._insert_interval(key, t, t + self.gap_us, self._mk_state([row]))
 
     def _insert_interval(self, key, start: int, end: int, state) -> None:
         ivs = self.sessions.setdefault(key, [])
@@ -441,7 +391,7 @@ class SessionAggregateOp:
             if iv[0] < merged[1] and merged[0] < iv[1]:
                 merged[0] = min(merged[0], iv[0])
                 merged[1] = max(merged[1], iv[1])
-                merged[2] = self._merge_states(iv[2], merged[2])
+                merged[2] = merge_states(self.spec, iv[2], merged[2])
             else:
                 keep.append(iv)
         keep.append(merged)
@@ -455,11 +405,8 @@ class SessionAggregateOp:
             remain = []
             for iv in self.sessions[key]:
                 if iv[1] <= wm:
-                    state = iv[2]
-                    if not spec.incremental:
-                        rows = _sort_rows(list(state.values()), spec.order == "reverse")
-                        state = spec.update(spec.initial_state(), rows)
-                    row = spec.finish(key, (iv[0], iv[1]), state)
+                    row = spec.finish(key, (iv[0], iv[1]),
+                                      _close_state(spec, iv[2]))
                     if row is not None:
                         out.append(row)
                 else:
@@ -553,17 +500,18 @@ class SymmetricJoinOp:
         ts = table[self.ts_column].cast(pa.int64()).to_numpy()
         late = wm_prev >= ts + self.time_bound_us
         self.late_rows += int(late.sum())  # every possible match already evicted
-        keep = np.nonzero(~late)[0]
-        if keep.size == 0:
+        if late.all():
             return
-        tbl = table.take(pa.array(keep))
-        sides = tbl["__stream"].to_numpy(zero_copy_only=False).astype(np.int8)
-        df = tbl.drop_columns(["__stream"]).to_pandas()
-        df["event_ts"] = ts[keep].astype(np.int64)
+        stream = table["__stream"].to_numpy(zero_copy_only=False)
         news = []
         for side in (0, 1):
-            cols = [c for c in self._side_cols(side) if c in df.columns]
-            sub = df.loc[sides == side, cols]
+            # select each side's rows and columns in Arrow first: in a
+            # frame of both streams, the other side's nulls would turn
+            # integer payload columns into float64
+            idx = np.nonzero(~late & (stream == side))[0]
+            cols = [c for c in self._side_cols(side) if c in table.column_names]
+            sub = table.take(pa.array(idx)).select(cols).to_pandas()
+            sub["event_ts"] = ts[idx]
             if len(sub):
                 # idempotent re-ingest (replayed epoch): offset-keyed
                 sub = sub[~sub["offset"].isin(self.seen[side])]

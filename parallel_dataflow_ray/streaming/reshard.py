@@ -12,10 +12,10 @@ rescaling, rebuilt on this engine's own primitives:
   column), and the engine routes rows by ``partition_ids(key, P)`` —
   so resharding = route every state entry by the NEW P and merge
   whatever lands together.
-- merges reuse the operators' OWN combine laws (``spec.merge`` /
-  offset-keyed dict union / ``_insert_interval``) — the same
-  semilattice argument that makes salted-key owner merges and replay
-  exact (reference analog: worklist-order independence,
+- merges reuse the operators' OWN combine laws (``merge_states``:
+  ``spec.merge`` or the union of run buffers; ``_insert_interval``) —
+  the same semilattice argument that makes salted-key owner merges and
+  replay exact (reference analog: worklist-order independence,
   blog/blog.md:91-103).
 - exactly-once across the rescale: output for epochs AFTER the
   restored checkpoint is REVOKED from every old sink manifest (atomic
@@ -37,6 +37,7 @@ import pickle
 import re as _re
 
 from .partitioning import partition_ids
+from .sink import fsync_dir
 
 
 def list_checkpoint_partitions(root: str) -> int:
@@ -53,6 +54,8 @@ def _route(keys: list, new_p: int) -> list[int]:
 
 
 def _reshard_window(snaps: list[dict], new_p: int, op) -> list[dict]:
+    from .operators import merge_states
+
     spec = op.spec
     states: list[dict] = [{} for _ in range(new_p)]
     for d in snaps:
@@ -63,10 +66,7 @@ def _reshard_window(snaps: list[dict], new_p: int, op) -> list[dict]:
             if (key, w) in tgt:
                 # two old partitions held this (key, window) — salted
                 # partials; combine with the operator's own merge law
-                if spec.incremental:
-                    tgt[(key, w)] = spec.merge(tgt[(key, w)], st)
-                else:
-                    tgt[(key, w)].update(st)   # offset-keyed buffers
+                tgt[(key, w)] = merge_states(spec, tgt[(key, w)], st)
             else:
                 tgt[(key, w)] = st
     out = []
@@ -206,6 +206,9 @@ def revoke_sink_epochs_after(sink_root: str, epoch: int) -> int:
             new_list: list[str] = []
             acc = 0
             for cf in manifest.get("compacted", []):
+                if not cf.endswith(".parquet"):
+                    raise ValueError(f"compacted file {cf!r} is not parquet "
+                                     "(compact() writes only parquet)")
                 fp = os.path.join(data_dir, cf)
                 nrows = _pq.read_metadata(fp).num_rows
                 if acc + nrows <= keep_rows:
@@ -221,6 +224,7 @@ def revoke_sink_epochs_after(sink_root: str, epoch: int) -> int:
                     with open(tmp, "rb+") as tf:
                         os.fsync(tf.fileno())
                     os.rename(tmp, os.path.join(data_dir, nf))
+                    fsync_dir(data_dir)
                     new_list.append(nf)
                     acc = keep_rows
                 removed_files.append(cf)
@@ -237,6 +241,7 @@ def revoke_sink_epochs_after(sink_root: str, epoch: int) -> int:
             f.flush()
             os.fsync(f.fileno())
         os.rename(tmp, path)
+        fsync_dir(mdir)
         # delete only AFTER the manifest rename: a crash mid-revoke
         # leaves orphan files (harmless), never a manifest entry whose
         # file is gone

@@ -57,6 +57,15 @@ def _read_fragment(path: str) -> pa.Table:
     return pq.read_table(path)
 
 
+def fsync_dir(path: str) -> None:
+    """Persist the directory entries of renames into ``path``."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _atomic_write_bytes(path: str, data: bytes, durable: bool = True) -> None:
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
@@ -136,11 +145,7 @@ class ExactlyOnceSink:
                         os.fsync(f.fileno())
             os.rename(tmp, frag_path)
             if self.durable:
-                dfd = os.open(self.data_dir, os.O_RDONLY)
-                try:
-                    os.fsync(dfd)  # persist the rename (directory entry)
-                finally:
-                    os.close(dfd)
+                fsync_dir(self.data_dir)
             rows = table.num_rows
         self.manifest["epochs"][str(epoch)] = {
             "fragment": frag, "rows": rows, "max_offset": max_offset,
@@ -241,11 +246,13 @@ class ExactlyOnceSink:
                     os.fsync(f.fileno())
                 os.rename(tmp, out)
                 new_files.append(fn)
+            fsync_dir(data_dir)
             for _e, rec in frag_epochs:
                 rec["fragment"] = None
                 rec["compacted"] = True
             man["compacted"] = man.get("compacted", []) + new_files
             _atomic_write_bytes(path, json.dumps(man).encode(), durable=True)
+            fsync_dir(man_dir)
             for fp in old_paths:
                 if os.path.isdir(fp):       # a .lance fragment is a directory
                     import shutil

@@ -4,28 +4,34 @@ Graft of the reference's ``DataflowSpec`` trait
 (``utils/src/dataflow_spec.rs:5-31``): an analysis there is
 ``{reversed?, entry, init, meet, transfer, finish}`` over a generic
 lattice value; a streaming operator here is
-``{order, initial_state, merge, update, finish}`` over a generic state.
+``{order, initial_state, merge, update_table, finish}`` over a generic
+state, where ``update_table(state, table)`` folds one run of rows, an
+Arrow table, into the state.
 
 The semilattice contract is inherited verbatim and is THE correctness
 invariant of the whole engine (reference ``blog/blog.md:91-103``):
 ``merge`` must be **commutative, associative and idempotent** over
-states built from disjoint row sets, and ``update`` must commute with
-``merge`` up to final state equality.  That is exactly what makes
-(a) partial+final aggregation across partitions safe, and
-(b) idempotent epoch replay (exactly-once) safe.
+states built from disjoint row sets, and ``update_table`` must commute
+with ``merge`` up to final state equality, whatever the row order
+inside a run.  That is exactly what makes (a) partial+final aggregation
+across partitions safe, and (b) idempotent epoch replay (exactly-once)
+safe.
 
 Operators with ``order == "reverse"`` (the LiveVars analog, reference
 ``passes/src/live_vars.rs:11-13``) cannot fold incrementally under
 out-of-order arrival; they set ``incremental = False`` and the runtime
-buffers rows (deduped by ``offset``, a multiset-union CRDT) and folds
-once, in event-time order (desc for reverse), when the watermark closes
-the window.
+keeps Arrow copies of their runs, then at window close dedupes the
+union by ``offset`` (a multiset-union CRDT) and calls ``update_table``
+once, in ``(event_ts, offset)`` order (descending for reverse), with
+``event_ts`` as int64 microseconds.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from typing import Any
+
+import pyarrow as pa
 
 
 class _Top:
@@ -61,27 +67,31 @@ class StreamOpSpec(ABC):
     order: str = "forward"
 
     #: if False the runtime buffers rows per (key, window) and calls
-    #: ``update`` exactly once at window close with all rows in order.
+    #: ``update_table`` exactly once at window close with all rows in order.
     incremental: bool = True
 
     #: column the operator keys on
     key_column: str = "speaker_id"
 
-    #: columns update() needs (engine prunes the rest before the shuffle)
+    #: columns update_table() needs (engine prunes the rest before the shuffle)
     value_columns: tuple = ()
 
     @abstractmethod
     def initial_state(self) -> Any:
         """The lattice ``init`` value (reference ``dataflow_spec.rs:13-15``)."""
 
-    @abstractmethod
     def merge(self, a: Any, b: Any) -> Any:
-        """The ``meet``: combine two partial states. Semilattice laws apply."""
+        """The ``meet``: combine two partial states. Semilattice laws apply.
+        Required of incremental specs only: the runtime merges a buffered
+        spec's partials as unions of their row buffers."""
+        raise NotImplementedError(f"{self.name}: merge is required of "
+                                  "incremental specs")
 
     @abstractmethod
-    def update(self, state: Any, rows: list[dict]) -> Any:
-        """The ``transfer``: fold a run of rows (already in operator order)
-        into ``state`` and return the new state."""
+    def update_table(self, state: Any, table: pa.Table) -> Any:
+        """The ``transfer``: fold a run of rows into ``state`` and return
+        the new state.  Incremental specs get runs in no set order;
+        buffered specs get their whole window once, in operator order."""
 
     def finish(self, key: Any, window: tuple, state: Any) -> dict | None:
         """Project the closed-window state to an output row (reference
@@ -105,10 +115,9 @@ class CompositeSpec(StreamOpSpec):
     Contracts: all sub-specs must share ``key_column`` and forward
     order.  ``incremental`` is the AND of the subs (a buffered sub
     forces the buffered fold; incremental subs fold correctly there
-    too — one update call with all rows is a legal fold).  The
-    vectorized ``update_table`` path is exposed iff every sub exposes
-    it.  ``finish`` merges the subs' output rows, prefixing value
-    columns with the sub-kernel's name on collision."""
+    too — one ``update_table`` call with all rows is a legal fold).
+    ``finish`` merges the subs' output rows, prefixing value columns
+    with the sub-kernel's name on collision."""
 
     incremental = True
     order = "forward"
@@ -125,11 +134,6 @@ class CompositeSpec(StreamOpSpec):
         self.incremental = all(s.incremental for s in specs)
         self.value_columns = tuple(dict.fromkeys(
             c for s in specs for c in s.value_columns))
-        if self.incremental and all(hasattr(s, "update_table")
-                                    for s in specs):
-            # expose the vectorized path only when every sub has it
-            # (engine feature-detects via hasattr on the instance)
-            self.update_table = self._update_table
 
     def initial_state(self) -> tuple:
         return tuple(s.initial_state() for s in self.specs)
@@ -138,11 +142,7 @@ class CompositeSpec(StreamOpSpec):
         return tuple(s.merge(x, y)
                      for s, x, y in zip(self.specs, a, b))
 
-    def update(self, state: tuple, rows: list[dict]) -> tuple:
-        return tuple(s.update(x, rows)
-                     for s, x in zip(self.specs, state))
-
-    def _update_table(self, state: tuple, table) -> tuple:
+    def update_table(self, state: tuple, table: pa.Table) -> tuple:
         return tuple(s.update_table(x, table)
                      for s, x in zip(self.specs, state))
 

@@ -1,9 +1,10 @@
 """Window assigners: tumbling, sliding (pane replication), session.
 
 A window is ``(start_us, end_us)`` half-open ``[start, end)`` in
-event-time microseconds.  Assignment is a pure function of the row's
-``event_ts`` (sessions are dynamic and handled by interval-merging in
-the operator state; see ``operators.SessionState``).
+event-time microseconds.  An assigner is a description — kind plus
+size, slide or gap; ``operators._window_runs`` computes each row's
+window(s) from it by arithmetic on the ``event_ts`` column (sessions are
+dynamic and handled by interval-merging in ``SessionAggregateOp``).
 
 These replace the reference's CFG successor structure: a row "notifies"
 exactly the (key, window) vertices it falls into, the way an updated
@@ -13,8 +14,6 @@ block's out-value notifies its CFG successors
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class TumblingWindows:
     kind = "tumbling"
@@ -22,17 +21,6 @@ class TumblingWindows:
     def __init__(self, size_us: int):
         assert size_us > 0
         self.size_us = int(size_us)
-
-    def assign(self, ts_us: int) -> list[tuple[int, int]]:
-        start = (ts_us // self.size_us) * self.size_us
-        return [(start, start + self.size_us)]
-
-    def assign_many(self, ts: np.ndarray) -> list[list[tuple[int, int]]]:
-        starts = (ts // self.size_us) * self.size_us
-        return [[(int(s), int(s) + self.size_us)] for s in starts]
-
-    def max_end(self, ts_us: int) -> int:
-        return self.assign(ts_us)[-1][1]
 
 
 class SlidingWindows:
@@ -46,33 +34,12 @@ class SlidingWindows:
         self.size_us = int(size_us)
         self.slide_us = int(slide_us)
 
-    def assign(self, ts_us: int) -> list[tuple[int, int]]:
-        # window starts s with s <= ts < s + size and s ≡ 0 (mod slide);
-        # ceil(size/slide)-1 panes back from the last one covers every
-        # start even when size % slide != 0 (a (size-slide)//slide walk
-        # dropped the earliest pane for non-divisor slides)
-        last = (ts_us // self.slide_us) * self.slide_us
-        first = last - ((self.size_us - 1) // self.slide_us) * self.slide_us
-        out = []
-        s = first
-        while s <= last:
-            if s <= ts_us < s + self.size_us:
-                out.append((s, s + self.size_us))
-            s += self.slide_us
-        return out
-
-    def assign_many(self, ts: np.ndarray) -> list[list[tuple[int, int]]]:
-        return [self.assign(int(t)) for t in ts]
-
-    def max_end(self, ts_us: int) -> int:
-        return self.assign(ts_us)[-1][1]
-
 
 class SessionWindows:
-    """Gap-based sessions.  Static assignment is a per-row singleton
-    ``[ts, ts + gap)``; the stateful operator merges overlapping /
-    adjacent intervals (and their states) as rows arrive — merging is
-    commutative & associative, so cross-partition partial merge is safe.
+    """Gap-based sessions.  A row opens the interval ``[ts, ts + gap)``;
+    the stateful operator merges overlapping intervals (and their
+    states) as rows arrive — merging is commutative & associative, so
+    cross-partition partial merge is safe.
     """
 
     kind = "session"
@@ -80,12 +47,3 @@ class SessionWindows:
     def __init__(self, gap_us: int):
         assert gap_us > 0
         self.gap_us = int(gap_us)
-
-    def assign(self, ts_us: int) -> list[tuple[int, int]]:
-        return [(ts_us, ts_us + self.gap_us)]
-
-    def assign_many(self, ts: np.ndarray) -> list[list[tuple[int, int]]]:
-        return [[(int(t), int(t) + self.gap_us)] for t in ts]
-
-    def max_end(self, ts_us: int) -> int:
-        return ts_us + self.gap_us

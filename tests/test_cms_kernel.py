@@ -3,6 +3,7 @@ exactness at collision-free width, merge == single-pass, watchlist
 read-off parity vs brute force."""
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from parallel_dataflow_ray.fixtures import clips_table
 from parallel_dataflow_ray.streaming import StreamEngine, TumblingWindows
@@ -17,8 +18,7 @@ def _true_counts(words, watch):
 
 
 def _ingest_words(spec, state, words):
-    rows = [{"transcript": " ".join(words)}]
-    return spec.update(state, rows)
+    return spec.update_table(state, pa.table({"transcript": [" ".join(words)]}))
 
 
 def test_never_undercounts_and_exact_at_default_width():
@@ -77,16 +77,18 @@ def test_merge_equals_single_pass_any_split():
     assert np.array_equal(ab["cms"], ba["cms"])
 
 
-def test_update_table_matches_update_rows():
-    import pyarrow as pa
-    spec = CMSWatch()
-    rows = [{"transcript": "the quick brown"},
-            {"transcript": None},
-            {"transcript": "the the codec"}]
-    s1 = spec.update(spec.initial_state(), rows)
-    t = pa.table({"transcript": pa.array([r["transcript"] for r in rows])})
-    s2 = spec.update_table(spec.initial_state(), t)
-    assert np.array_equal(s1["cms"], s2["cms"]) and s1["n"] == s2["n"]
+def test_update_table_matches_bruteforce_word_count():
+    """One run of several rows, a None transcript among them: the
+    watchlist read-off equals a plain word count over the run."""
+    transcripts = ["the quick brown", None, "the the codec"]
+    spec = CMSWatch(watch=("the", "quick", "codec", "absent"))
+    st = spec.update_table(spec.initial_state(),
+                           pa.table({"transcript": pa.array(transcripts)}))
+    words = " ".join(t or "" for t in transcripts).split()
+    assert st["n"] == len(words)
+    est = spec.estimate(st, spec.watch)
+    assert {w: int(e) for w, e in zip(spec.watch, est)} == \
+        _true_counts(words, spec.watch)
 
 
 def test_engine_watch_counts_match_bruteforce(ray_session):

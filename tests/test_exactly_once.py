@@ -89,7 +89,14 @@ def test_kill_and_resume_exactly_once(tmp_path, partial, kernel):
 
 def test_lineage_records(tmp_path):
     epochs = epochs_from_table(_table(), EPOCH_ROWS)
-    _engine(tmp_path).run(epochs)
+    res = _engine(tmp_path).run(epochs)
+    # commit and checkpoint time are reported beside elapsed_s; on this
+    # durable run an epoch that emits writes and fsyncs a fragment
+    for m in res["metrics"]:
+        assert m["commit_s"] >= 0 and m["ckpt_s"] >= 0, m
+        if m["emitted"]:
+            assert m["commit_s"] > 0, m
+    assert any(m["emitted"] for m in res["metrics"])
     lin = ExactlyOnceSink.lineage(str(tmp_path / "sink"))
     assert {r["partition"] for r in lin} == set(range(P))
     for r in lin:

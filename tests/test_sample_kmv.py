@@ -5,6 +5,7 @@ split/order/replay invariant, and the KMV read-off is exact below k and
 a sane estimate above it."""
 
 import numpy as np
+import pyarrow as pa
 
 from parallel_dataflow_ray.functions.hashing import _stable_token_hashes
 from parallel_dataflow_ray.streaming.kernels import SampleKMV
@@ -15,10 +16,14 @@ def _ids(n, seed=0):
     return [f"clip-{x:08x}" for x in rng.integers(0, 1 << 40, n)]
 
 
+def _run(ids) -> pa.Table:
+    return pa.table({"clip_id": pa.array(list(ids), pa.string())})
+
+
 def _ingest_all(spec, ids, chunks):
     state = spec.initial_state()
     for part in np.array_split(np.asarray(ids, dtype=object), chunks):
-        state = spec.update(state, [{"clip_id": i} for i in part])
+        state = spec.update_table(state, _run(part))
     return state
 
 
@@ -38,7 +43,7 @@ def test_ingest_is_split_order_and_replay_invariant():
     b = _ingest_all(spec, ids[::-1], 11)
     assert a == b
     # replay: re-ingesting everything cannot move the state
-    assert spec.update(list(a), [{"clip_id": i} for i in ids]) == a
+    assert spec.update_table(list(a), _run(ids)) == a
     # merge of overlapping partials == merge of disjoint ones
     mid = len(ids) // 2
     lo = _ingest_all(spec, ids[:mid + 100], 3)

@@ -18,7 +18,10 @@ from parallel_dataflow_ray.streaming import (
     OracleExecutor, SessionWindows, SlidingWindows, StreamEngine, TumblingWindows,
 )
 from parallel_dataflow_ray.streaming.kernels import KERNELS
+from parallel_dataflow_ray.streaming.operators import (
+    SessionAggregateOp, WindowedAggregateOp, _window_runs)
 from parallel_dataflow_ray.streaming.partitioning import epochs_from_table
+from parallel_dataflow_ray.streaming.watermark import MIN_TS
 
 N = 600
 LATENESS_US = 50_000
@@ -71,18 +74,29 @@ def test_sliding_window_parity(kernel):
 
 
 def test_sliding_assign_non_divisor():
-    """size % slide != 0: the assigner must return every covering pane
-    (brute-force enumeration as ground truth — the oracle shares the
-    assigner, so differential parity alone cannot catch a dropped pane)."""
+    """size % slide != 0: ``_window_runs`` must put a row in every
+    covering pane (brute-force enumeration as ground truth — the oracle
+    shares this code, so differential parity alone cannot catch a
+    dropped pane)."""
+    stamps = [0, 1, 4_500_000, 5_999_999, 6_000_000, 123_456_789]
+    table = pa.table({"speaker_id": [str(ts) for ts in stamps],
+                      "event_ts": pa.array(stamps, pa.int64()),
+                      "offset": pa.array(range(len(stamps)), pa.int64())})
+    spec = KERNELS["clip_stats"]()
     for size, slide in [(5_000_000, 2_000_000), (3_000_000, 2_000_000),
                         (7_000_000, 3_000_000), (4_000_000, 4_000_000)]:
-        win = SlidingWindows(size, slide)
-        for ts in [0, 1, 4_500_000, 5_999_999, 6_000_000, 123_456_789]:
+        _, runs, _, kuniq, _ = _window_runs(
+            table, spec, SlidingWindows(size, slide), "event_ts", MIN_TS)
+        got: dict = {}
+        for kc, w, s, e in runs:
+            assert e - s == 1
+            got.setdefault(int(kuniq[kc]), []).append(w)
+        for ts in stamps:
             last = (ts // slide) * slide
             want = [(s, s + size)
                     for s in range(last - 10 * slide, last + 1, slide)
                     if s <= ts < s + size]
-            assert win.assign(ts) == want, (size, slide, ts)
+            assert sorted(got[ts]) == want, (size, slide, ts)
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
@@ -99,6 +113,36 @@ def test_session_window_parity(kernel):
         "session", {"spec": spec, "assigner": win}, table)
     assert oracle_rows == engine_rows
     assert len(oracle_rows) > 0
+
+
+def test_buffered_snapshot_holds_run_copies():
+    """A buffered kernel keeps COPIES of its runs: after one epoch that
+    closes most windows, the checkpoint payload is smaller than the
+    epoch's input (a buffered slice would pickle its parent table's
+    whole buffers, once per open run)."""
+    table = _clips(False)
+    op = WindowedAggregateOp(KERNELS["reverse_live_words"](),
+                             TumblingWindows(1_000_000))
+    op.apply(table, MIN_TS)
+    max_ts = pa.compute.max(table["event_ts"].cast(pa.int64())).as_py()
+    assert op.on_watermark(max_ts // 1_000_000 * 1_000_000)
+    assert op.states
+    assert len(op.snapshot()) < table.nbytes
+
+
+@pytest.mark.parametrize("make_op", [
+    lambda spec: WindowedAggregateOp(spec, TumblingWindows(100)),
+    lambda spec: SessionAggregateOp(spec, SessionWindows(100)),
+], ids=["window", "session"])
+def test_null_key_is_refused(make_op):
+    """A null key fails loudly instead of folding into another key."""
+    table = pa.table({"speaker_id": ["a", None],
+                      "event_ts": pa.array([0, 1], pa.int64()),
+                      "offset": pa.array([0, 1], pa.int64()),
+                      "dur_ms": [10, 20], "sr_hz": [8000, 8000]})
+    op = make_op(KERNELS["clip_stats"]())
+    with pytest.raises(ValueError, match="speaker_id"):
+        op.apply(table, MIN_TS)
 
 
 def test_watermark_gating_k4_emits_only_after_close():

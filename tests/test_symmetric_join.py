@@ -79,3 +79,25 @@ def test_join_dedupes_replayed_rows():
     second = op.on_watermark(0)
     assert len(first) > 0
     assert second == []
+
+
+def test_join_sink_keeps_integer_payload_types(tmp_path):
+    """Integer payload columns that are null on the other stream's rows
+    (``sr_hz``, ``dur_ms``) reach the sink integer-typed, not float64.
+    The row-dict emission still widens int32 to int64 (the sink schema
+    comes from ``pa.Table.from_pylist``); that goes when the operator
+    emits Arrow tables."""
+    import pyarrow as pa
+
+    from parallel_dataflow_ray.streaming.sink import ExactlyOnceSink
+
+    kw = dict(JOIN_KW, left_columns=("bytes", "codec", "sr_hz", "dur_ms"))
+    root = str(tmp_path / "sink")
+    eng = StreamEngine("join", kw, num_partitions=2,
+                       allowed_lateness_us=LATENESS_US, key_column="clip_id",
+                       sink_root=root, sink_durable=False)
+    eng.run(epochs_from_table(_merged(), 71))
+    out = ExactlyOnceSink.read_all(root)
+    assert out is not None and out.num_rows > 0
+    for col in ("sr_hz", "dur_ms"):
+        assert pa.types.is_integer(out.schema.field(col).type), out.schema

@@ -1097,8 +1097,9 @@ def stream_tumbling_events(sf_dir: str):
 
 
 def stream_sliding_events(sf_dir: str):
-    """Engine sliding-pane mode under the SQL gate (the vectorized
-    multi-pane path), twin of the batch ``sliding_events``."""
+    """Engine sliding windows under the SQL gate (each row folded into
+    one slice, windows merged from slices at close), twin of the batch
+    ``sliding_events``."""
     from ..streaming import SlidingWindows
 
     eng = StreamEngine("window",

@@ -907,6 +907,16 @@ def contamination_bloom(train: rd.Dataset, bench: rd.Dataset, *,
 # incremental ingest dedup: new shard vs existing corpus
 # ---------------------------------------------------------------------------
 
+def _int_ids(b: pd.DataFrame, id_col: str, fn: str) -> np.ndarray:
+    """``id_col`` as int64.  Any dtype but a signed integer is refused:
+    ``to_numpy(np.int64)`` would silently truncate float ids."""
+    dt = b[id_col].dtype
+    if not pd.api.types.is_signed_integer_dtype(dt):
+        raise ValueError(f"{fn} requires signed-integer {id_col!r} "
+                         f"values (got dtype {dt})")
+    return b[id_col].to_numpy(np.int64)
+
+
 def dedup_against_corpus(new: rd.Dataset, corpus: rd.Dataset, *,
                          text_col: str = "text", id_col: str = "doc_id",
                          num_buckets: int = 32) -> rd.Dataset:
@@ -939,7 +949,8 @@ def dedup_against_corpus(new: rd.Dataset, corpus: rd.Dataset, *,
 
     def shard_fp(b: pd.DataFrame) -> pd.DataFrame:
         lo, hi = fingerprint128(b[text_col])
-        return pd.DataFrame({id_col: b[id_col].to_numpy(np.int64),
+        return pd.DataFrame({id_col: _int_ids(b, id_col,
+                                              "dedup_against_corpus"),
                              "__fp": lo, "__fp2": hi,
                              "__side": np.int8(1)})
 
@@ -1559,7 +1570,7 @@ def dedup_lines(ds: rd.Dataset, *, corpus: rd.Dataset | None = None,
 
     def explode(b: pd.DataFrame) -> pd.DataFrame:
         b = b.reset_index(drop=True)
-        ids = b[id_col].to_numpy(np.int64)
+        ids = _int_ids(b, id_col, "dedup_lines")
         if len(ids) and ids.min() < 0:
             # -1 is the corpus sentinel; a negative real id would
             # silently act as one (its lines would strike everyone
@@ -1611,7 +1622,7 @@ def dedup_lines(ds: rd.Dataset, *, corpus: rd.Dataset | None = None,
                              num_buckets=num_buckets)
 
     def doc_side(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({id_col: b[id_col].to_numpy(np.int64),
+        return pd.DataFrame({id_col: _int_ids(b, id_col, "dedup_lines"),
                              "__ln": np.int64(0),
                              "__side": np.int8(0),
                              text_col: b[text_col].fillna("")})

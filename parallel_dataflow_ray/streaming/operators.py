@@ -9,15 +9,15 @@ chassis interface the partition actor drives:
     on_watermark(wm) -> rows   close + emit everything the frontier passed
     snapshot()/restore(bytes)  per-partition checkpoint payload
 
-State layout for fixed windows: hash-map keyed ``(key, window)`` plus a
-min-heap of window end-times for eviction (north_star: "windowed
-hash-aggregate (hash-map keyed by (clip_id-hash, window_id) with
-min-heap watermark eviction)").
+State layout for fixed windows: a hash-map keyed ``(key, slice_start)``
+over ``gcd(size, slide)`` slices, each row folded into one slice, plus
+the watermark closed through.  A window is the merge of its slices at
+close; a slice is evicted with its last window (Scotty, ICDE 2018).
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 import pickle
 from functools import reduce
 from typing import Any
@@ -26,6 +26,7 @@ import numpy as np
 import pyarrow as pa
 
 from .spec import StreamOpSpec
+from .watermark import MIN_TS
 from .windows import SessionWindows
 
 
@@ -34,13 +35,16 @@ def _empty_state(spec):
 
 
 def _fold_run(spec, state, run: pa.Table):
-    """Add one (key, window) run to a state: an incremental spec folds
-    it, a buffered spec (``incremental = False``) keeps a copy for
-    :func:`_close_state`.  The copy is a ``take``, not a slice: a pickled
-    slice carries its parent table's whole buffers into checkpoints and
-    shipped partials."""
+    """Add one run to a state: an incremental spec folds it, a buffered
+    spec (``incremental = False``) keeps a copy of ``event_ts``,
+    ``offset`` and its ``value_columns`` (all, if none are declared) for
+    :func:`_close_state`.  The copy is a ``take``: a pickled
+    ``Table.slice`` carries its parent's whole buffers into checkpoints."""
     if spec.incremental:
         return spec.update_table(state, run)
+    if spec.value_columns:
+        run = run.select(list(dict.fromkeys(
+            ("event_ts", "offset", *spec.value_columns))))
     return state + [run.take(pa.array(np.arange(run.num_rows)))]
 
 
@@ -82,51 +86,33 @@ def _key_codes(table: pa.Table, key_column: str):
 
 def _window_runs(table: pa.Table, spec, assigner, ts_column: str,
                  wm_prev: int):
-    """Vectorized (key, window) run-grouping shared by the partition
-    operator and the map-side combiner: assign every non-late row to
-    its covering pane(s), sort indices by (key, window), and return
-    ``(sorted_tbl, runs, kcodes, kuniq, late)`` with ``runs`` =
-    ``[(kcode, window, start, end)]`` over ``sorted_tbl`` slices and
-    ``late`` the per-input-row late mask (tumbling: the row's single
-    pane closed; sliding: even its NEWEST pane closed, so no pane
-    accepts the row)."""
-    n = table.num_rows
+    """Vectorized (key, slice) run-grouping shared by the partition
+    operator and the map-side combiner: put every non-late row in its
+    one slice, starting at ``ts // g * g`` for ``g = gcd(size, slide)``,
+    sort indices by (key, slice), and return ``(sorted_tbl, runs,
+    kcodes, kuniq, late)`` with ``runs`` = ``[(kcode, slice, start,
+    end)]`` over ``sorted_tbl`` slices, ``slice`` = ``(start_us,
+    start_us + g)``, and ``late`` the per-input-row late mask (even the
+    row's NEWEST window closed, so no window accepts the row)."""
     ts = table[ts_column].cast(pa.int64()).to_numpy()
-    size = assigner.size_us
+    size, slide = assigner.size_us, assigner.slide_us
+    g = math.gcd(size, slide)
     kcodes, kuniq = _key_codes(table, spec.key_column)
-    if assigner.kind == "tumbling":
-        idx = np.arange(n)
-        ws = (ts // size) * size
-        late = wm_prev >= ws + size
-        keep = ~late
-        idx, ws = idx[keep], ws[keep]
-    else:
-        slide = assigner.slide_us
-        n_panes = (size - 1) // slide + 1
-        last = (ts // slide) * slide
-        late = wm_prev >= last + size
-        idxs, wss = [], []
-        for j in range(n_panes):
-            s = last - j * slide
-            m = (~late) & (ts < s + size) & (wm_prev < s + size)
-            sel = np.nonzero(m)[0]
-            idxs.append(sel)
-            wss.append(s[sel])
-        idx = np.concatenate(idxs)
-        ws = np.concatenate(wss)
+    late = wm_prev >= (ts // slide) * slide + size
+    idx = np.nonzero(~late)[0]
     if idx.size == 0:
         return None, [], kcodes, kuniq, late
-    kc = kcodes[idx]
-    order = np.lexsort((ws, kc))
-    idx_s, kc_s, ws_s = idx[order], kc[order], ws[order]
+    ss, kc = (ts[idx] // g) * g, kcodes[idx]
+    order = np.lexsort((ss, kc))
+    idx_s, kc_s, ss_s = idx[order], kc[order], ss[order]
     sorted_tbl = table.take(pa.array(idx_s))
-    # run boundaries where (key, window) changes
+    # run boundaries where (key, slice) changes
     change = np.empty(idx_s.size, dtype=bool)
     change[0] = True
-    np.logical_or(np.diff(kc_s) != 0, np.diff(ws_s) != 0, out=change[1:])
+    np.logical_or(np.diff(kc_s) != 0, np.diff(ss_s) != 0, out=change[1:])
     starts = np.nonzero(change)[0]
     ends = np.append(starts[1:], idx_s.size)
-    runs = [(int(kc_s[s]), (int(ws_s[s]), int(ws_s[s]) + size), int(s), int(e))
+    runs = [(int(kc_s[s]), (int(ss_s[s]), int(ss_s[s]) + g), int(s), int(e))
             for s, e in zip(starts, ends)]
     return sorted_tbl, runs, kcodes, kuniq, late
 
@@ -135,12 +121,12 @@ def combine_window_block(table: pa.Table, spec, assigner, ts_column: str,
                          wm_prev: int, num_partitions: int,
                          capture_late: bool = False) -> list[dict]:
     """Map-side combiner (shuffle-map body in combine mode): fold one
-    input block's rows into per-(key, window) PARTIAL states and route
+    input block's rows into per-(key, slice) PARTIAL states and route
     them by key hash, so only partials — not raw rows/payload bytes —
     enter the object store.  Legal exactly when salted-key splitting is
     legal: ``spec.merge`` over states built from disjoint row subsets
     (the semilattice contract, spec.py).  Returns one payload dict per
-    partition: ``{"partials": [(key, window, state)], "rows": routed
+    partition: ``{"partials": [(key, slice, state)], "rows": routed
     row count (late included), "late": routed late count,
     "max_offset": max routed offset or -1}`` — the same per-partition
     accounting the row-shipping split produces."""
@@ -193,9 +179,9 @@ class WindowedAggregateOp:
         #: instead of finishing locally (skew splitting, SURVEY §4 —
         #: valid because ``spec.merge`` is a semilattice combine)
         self.partial_keys = frozenset(partial_keys)
-        self.states: dict[tuple, Any] = {}      # (key, window) -> state | [run, ...]
-        self.heap: list[tuple[int, Any, tuple]] = []  # (end, key, window)
-        self.live: set[tuple] = set()
+        self.states: dict[tuple, Any] = {}  # (key, slice_start) -> state | [run, ...]
+        #: windows ending at or before this watermark are closed
+        self.wm = MIN_TS
         self.late_rows = 0
         self.rows_seen = 0
         #: dead-letter side output: when True (set by the worker when a
@@ -206,10 +192,10 @@ class WindowedAggregateOp:
         self._late_tbls: list[pa.Table] = []
 
     def apply(self, table: pa.Table, wm_prev: int) -> None:
-        """Ingest one epoch: numpy grouping by (key, window) — sliding
-        windows replicate row INDICES per covering pane (ceil(size/
-        slide) panes), the batch-layer ``explode_sliding`` shape kept
-        columnar — then one Arrow run per group into its state."""
+        """Ingest one epoch: numpy grouping by (key, slice), then one
+        Arrow run per group into its slice state — each row is folded
+        once, whatever the windows' overlap.  ``wm_prev`` is the
+        watermark of the last :meth:`on_watermark_split`."""
         if table.num_rows == 0:
             return
         spec = self.spec
@@ -219,37 +205,28 @@ class WindowedAggregateOp:
         self.late_rows += int(late.sum())
         if self.capture_late and late.any():
             self._late_tbls.append(table.take(pa.array(np.nonzero(late)[0])))
-        for kc, w, s, e in runs:
-            key = kuniq[kc]
-            kw = (key, w)
-            if kw not in self.states:
-                self.states[kw] = _empty_state(spec)
-                heapq.heappush(self.heap, (w[1], key, w))
-                self.live.add(kw)
-            self.states[kw] = _fold_run(spec, self.states[kw],
-                                        sorted_tbl.slice(s, e - s))
+        for kc, (a, _), s, e in runs:
+            kw = (kuniq[kc], a)
+            st = self.states[kw] if kw in self.states else _empty_state(spec)
+            self.states[kw] = _fold_run(spec, st, sorted_tbl.slice(s, e - s))
 
     def ingest_partials(self, payload: dict) -> None:
-        """Map-side-combined ingest: merge per-(key, window) partial
+        """Map-side-combined ingest: merge per-(key, slice) partial
         states produced by :func:`combine_window_block` (the same
         ``spec.merge`` the salted-key owner path relies on), plus the
-        block's routed row/late accounting.  A partial's window can
-        never already be closed here: the split evaluated lateness with
-        this epoch's ``wm_prev``, and watermarks are monotone."""
+        block's routed row/late accounting.  A partial's newest window
+        can never already be closed here: the split evaluated lateness
+        with this epoch's ``wm_prev``, and watermarks are monotone."""
         self.rows_seen += payload["rows"]
         self.late_rows += payload["late"]
         lt = payload.get("late_tbl")
         if lt is not None and self.capture_late:
             self._late_tbls.append(lt)
         spec = self.spec
-        for key, w, state in payload["partials"]:
-            kw = (key, w)
-            if kw not in self.states:
-                self.states[kw] = state
-                heapq.heappush(self.heap, (w[1], key, w))
-                self.live.add(kw)
-            else:
-                self.states[kw] = spec.merge(self.states[kw], state)
+        for key, (a, _), state in payload["partials"]:
+            kw = (key, a)
+            self.states[kw] = (spec.merge(self.states[kw], state)
+                               if kw in self.states else state)
 
     def on_watermark(self, wm: int) -> list[dict]:
         rows, partials = self.on_watermark_split(wm)
@@ -261,18 +238,30 @@ class WindowedAggregateOp:
         return rows
 
     def on_watermark_split(self, wm: int) -> tuple[list[dict], list[tuple]]:
-        """Close windows the frontier passed.  Returns (finished rows,
-        partial-state records for salted keys: [(key, window, state)])."""
+        """Close windows ending in ``(self.wm, wm]``, each merged from
+        its slices into a FRESH state (later windows still read the
+        slices; some ``merge`` laws mutate their first argument).  Returns
+        (finished rows, salted keys' partials: [(key, window, state)])."""
+        size, slide = self.assigner.size_us, self.assigner.slide_us
+        g = math.gcd(size, slide)
+        lo = (self.wm - size) // slide * slide + slide  # first start to close
+        hi = (wm - size) // slide * slide                # last start to close
+        self.wm = max(self.wm, wm)
+        windows: dict[tuple, list[int]] = {}  # (start, key) -> slice starts
+        for key, a in self.states:
+            # the windows covering slice a start at the multiples of
+            # slide in [a + g - size, a]
+            for s in range(max(lo, -((size - g - a) // slide) * slide),
+                           min(hi, a // slide * slide) + 1, slide):
+                windows.setdefault((s, key), []).append(a)
+        spec = self.spec
         out: list[dict] = []
         partials: list[tuple] = []
-        spec = self.spec
-        while self.heap and self.heap[0][0] <= wm:
-            end, key, w = heapq.heappop(self.heap)
-            kw = (key, w)
-            if kw not in self.live:
-                continue
-            self.live.discard(kw)
-            state = self.states.pop(kw)
+        for (s, key), starts in sorted(windows.items()):
+            w = (s, s + size)
+            state = reduce(lambda acc, a: merge_states(
+                spec, acc, self.states[(key, a)]), sorted(starts),
+                _empty_state(spec))
             if key in self.partial_keys:
                 # ship the raw partial (run buffer for non-incremental
                 # specs — the owner folds the UNION in full event order)
@@ -281,6 +270,8 @@ class WindowedAggregateOp:
             row = spec.finish(key, w, _close_state(spec, state))
             if row is not None:
                 out.append(row)
+        self.states = {ka: st for ka, st in self.states.items()
+                       if ka[1] // slide * slide + size > wm}
         return out, partials
 
     def merge_partials(self, groups: dict[tuple, list[Any]]) -> list[dict]:
@@ -313,13 +304,13 @@ class WindowedAggregateOp:
     # -- checkpoint --------------------------------------------------------
     def snapshot(self) -> bytes:
         return pickle.dumps(
-            {"states": self.states, "heap": self.heap, "live": self.live,
+            {"states": self.states, "wm": self.wm,
              "late_rows": self.late_rows, "rows_seen": self.rows_seen},
             protocol=pickle.HIGHEST_PROTOCOL)
 
     def restore(self, blob: bytes) -> None:
         d = pickle.loads(blob)
-        self.states, self.heap, self.live = d["states"], d["heap"], d["live"]
+        self.states, self.wm = d["states"], d["wm"]
         self.late_rows, self.rows_seen = d["late_rows"], d["rows_seen"]
 
 

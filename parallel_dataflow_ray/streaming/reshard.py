@@ -7,7 +7,7 @@ the job to its original parallelism.  This module re-keys the
 per-partition operator state to a new hash partitioning — Flink-style
 rescaling, rebuilt on this engine's own primitives:
 
-- every operator's state is keyed (window: ``(key, window) -> state``;
+- every operator's state is keyed (window: ``(key, slice) -> state``;
   session: ``key -> intervals``; join: per-side frames carrying the key
   column), and the engine routes rows by ``partition_ids(key, P)`` —
   so resharding = route every state entry by the NEW P and merge
@@ -31,7 +31,6 @@ totals are preserved.
 
 from __future__ import annotations
 
-import heapq
 import os
 import pickle
 import re as _re
@@ -59,27 +58,21 @@ def _reshard_window(snaps: list[dict], new_p: int, op) -> list[dict]:
     spec = op.spec
     states: list[dict] = [{} for _ in range(new_p)]
     for d in snaps:
-        kws = list(d["states"])
-        for (key, w), pid in zip(kws, _route([k for k, _ in kws], new_p)):
-            st = d["states"][(key, w)]
+        kss = list(d["states"])
+        for ks, pid in zip(kss, _route([k for k, _ in kss], new_p)):
+            st = d["states"][ks]
             tgt = states[pid]
-            if (key, w) in tgt:
-                # two old partitions held this (key, window) — salted
-                # partials; combine with the operator's own merge law
-                tgt[(key, w)] = merge_states(spec, tgt[(key, w)], st)
-            else:
-                tgt[(key, w)] = st
-    out = []
-    for pid in range(new_p):
-        heap = [(w[1], key, w) for (key, w) in states[pid]]
-        heapq.heapify(heap)
-        out.append({"states": states[pid], "heap": heap,
-                    "live": set(states[pid]),
-                    "late_rows": sum(d["late_rows"] for d in snaps)
-                    if pid == 0 else 0,
-                    "rows_seen": sum(d["rows_seen"] for d in snaps)
-                    if pid == 0 else 0})
-    return out
+            # two old partitions held this (key, slice) — salted
+            # partials; combine with the operator's own merge law
+            tgt[ks] = merge_states(spec, tgt[ks], st) if ks in tgt else st
+    # every partition checkpointed the same epoch, so the same closed
+    # watermark: windows closed before the checkpoint stay closed
+    wm = max(d["wm"] for d in snaps)
+    return [{"states": states[pid], "wm": wm,
+             "late_rows": sum(d["late_rows"] for d in snaps)
+             if pid == 0 else 0,
+             "rows_seen": sum(d["rows_seen"] for d in snaps)
+             if pid == 0 else 0} for pid in range(new_p)]
 
 
 def _reshard_session(snaps: list[dict], new_p: int, op_factory) -> list[dict]:

@@ -1,15 +1,15 @@
-"""Window assigners: tumbling, sliding (pane replication), session.
+"""Window assigners: tumbling, sliding, session.
 
 A window is ``(start_us, end_us)`` half-open ``[start, end)`` in
 event-time microseconds.  An assigner is a description — kind plus
-size, slide or gap; ``operators._window_runs`` computes each row's
-window(s) from it by arithmetic on the ``event_ts`` column (sessions are
-dynamic and handled by interval-merging in ``SessionAggregateOp``).
+size, slide or gap.  ``operators._window_runs`` maps each row to its
+one ``gcd(size, slide)`` slice (a tumbling window is its own slice) and
+a window merges its slices at close (Scotty, ICDE 2018); sessions are
+dynamic and handled by interval-merging in ``SessionAggregateOp``.
 
 These replace the reference's CFG successor structure: a row "notifies"
-exactly the (key, window) vertices it falls into, the way an updated
-block's out-value notifies its CFG successors
-(``impls/src/sequential.rs:45-47``).
+exactly one (key, slice) vertex, the way an updated block's out-value
+notifies its CFG successors once (``impls/src/sequential.rs:45-47``).
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ class TumblingWindows:
 
     def __init__(self, size_us: int):
         assert size_us > 0
-        self.size_us = int(size_us)
+        self.size_us = self.slide_us = int(size_us)
 
 
 class SlidingWindows:
     """Overlapping windows of ``size`` every ``slide`` (size % slide == 0
-    not required).  A row replicates into ``ceil(size/slide)`` panes."""
+    not required), each merged from its ``gcd(size, slide)`` slices."""
 
     kind = "sliding"
 

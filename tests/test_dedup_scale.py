@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pytest
 import ray.data as rd
 
 from parallel_dataflow_ray.sources.tables import read_table
@@ -243,6 +244,22 @@ def test_dedup_against_corpus_bruteforce_parity():
                                   want[["doc_id", "n_dups"]])
     assert (got["n_dups"] > 1).any()          # within-shard dups exercised
     assert len(got) < len(new_df)             # corpus copies dropped
+
+
+@pytest.mark.parametrize("fn", ["dedup_against_corpus", "dedup_lines"])
+def test_dedup_refuses_float_ids(fn):
+    """Float ids fail loudly, naming the id column and its dtype, instead
+    of being truncated to int64 (2.7 would become id 2)."""
+    new = rd.from_pandas(pd.DataFrame({"doc_id": [1.0, 2.7, 3.0],
+                                       "text": ["a", "b", "a"]}))
+    corpus = rd.from_pandas(pd.DataFrame(
+        {"doc_id": np.arange(2, dtype=np.int64), "text": ["x", "y"]}))
+    with pytest.raises(Exception, match=r"signed-integer 'doc_id' values "
+                                        r"\(got dtype float64\)"):
+        if fn == "dedup_against_corpus":
+            dd.dedup_against_corpus(new, corpus).to_pandas()
+        else:
+            dd.dedup_lines(new, corpus=corpus).to_pandas()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ import pytest
 
 from parallel_dataflow_ray import fixtures
 from parallel_dataflow_ray.streaming import (
-    ExactlyOnceSink, OracleExecutor, StreamEngine, TumblingWindows,
+    ExactlyOnceSink, OracleExecutor, SlidingWindows, StreamEngine,
+    TumblingWindows,
 )
 from parallel_dataflow_ray.streaming.kernels import KERNELS
 from parallel_dataflow_ray.streaming.oracle import canonical_sort
@@ -23,6 +24,7 @@ from parallel_dataflow_ray.streaming.partitioning import epochs_from_table
 N = 500
 LATENESS_US = 50_000
 WIN = TumblingWindows(1_000_000)
+SLIDE = SlidingWindows(5_000_000, 2_000_000)  # size % slide != 0
 EPOCH_ROWS = 83
 P = 4
 
@@ -38,17 +40,17 @@ def _sink_rows(root) -> list[dict]:
     return canonical_sort(t.to_pylist()) if t is not None else []
 
 
-def _oracle_rows(kernel="clip_stats"):
+def _oracle_rows(kernel="clip_stats", win=WIN, flush=False):
     epochs = epochs_from_table(_table(), EPOCH_ROWS)
     rows, _ = OracleExecutor(
-        "window", {"spec": KERNELS[kernel](), "assigner": WIN},
-        LATENESS_US).run(epochs)
+        "window", {"spec": KERNELS[kernel](), "assigner": win},
+        LATENESS_US).run(epochs, final_flush=flush)
     return canonical_sort(rows)
 
 
-def _engine(tmp, kernel="clip_stats", **kw):
+def _engine(tmp, kernel="clip_stats", win=WIN, **kw):
     return StreamEngine("window",
-                        {"spec": KERNELS[kernel](), "assigner": WIN},
+                        {"spec": KERNELS[kernel](), "assigner": win},
                         num_partitions=P, allowed_lateness_us=LATENESS_US,
                         sink_root=str(tmp / "sink"), ckpt_root=str(tmp / "ckpt"),
                         ckpt_interval=2, **kw)
@@ -65,25 +67,39 @@ def test_uninterrupted_sink_matches_oracle(tmp_path):
                                     "codec_kleene", "vocab_sketch"])
 @pytest.mark.parametrize("partial", [False, True], ids=["clean-kill", "partial-commit"])
 def test_kill_and_resume_exactly_once(tmp_path, partial, kernel):
+    _kill_and_resume(tmp_path, partial, kernel, WIN, flush=False)
+
+
+@pytest.mark.parametrize("kernel", ["clip_stats", "codec_funnel"])
+@pytest.mark.parametrize("partial", [False, True], ids=["clean-kill", "partial-commit"])
+def test_kill_and_resume_sliding(tmp_path, partial, kernel):
+    """The checkpoint holds slices that closed windows already read and
+    open windows still need: none may be emitted twice or lost.  The
+    stream is about one window long, so the end-of-stream flush emits
+    the windows still open at the crash."""
+    _kill_and_resume(tmp_path, partial, kernel, SLIDE, flush=True)
+
+
+def _kill_and_resume(tmp_path, partial, kernel, win, flush):
     epochs = epochs_from_table(_table(), EPOCH_ROWS)
     kill_at = len(epochs) // 2
     # crash: stop after epoch kill_at; optionally only partitions {0,1}
     # managed to commit that epoch (a mid-epoch crash)
-    _engine(tmp_path, kernel).run(
+    _engine(tmp_path, kernel, win).run(
         epochs, stop_after_epoch=kill_at,
         commit_partitions={0, 1} if partial else None)
     partial_rows = _sink_rows(tmp_path / "sink")
-    oracle = _oracle_rows(kernel)
+    oracle = _oracle_rows(kernel, win, flush)
     assert len(partial_rows) < len(oracle)  # genuinely interrupted mid-stream
 
     # resume: same engine config, same input — restores from checkpoints,
     # replays uncommitted epochs; replayed commits are absorbed
-    res = _engine(tmp_path, kernel).run(epochs)
+    res = _engine(tmp_path, kernel, win).run(epochs, final_flush=flush)
     assert res["start_epoch"] > 0  # proves it resumed, not re-ran
     assert _sink_rows(tmp_path / "sink") == oracle
 
     # replaying the ENTIRE job a third time must change nothing (idempotence)
-    _engine(tmp_path, kernel).run(epochs)
+    _engine(tmp_path, kernel, win).run(epochs, final_flush=flush)
     assert _sink_rows(tmp_path / "sink") == oracle
 
 

@@ -14,8 +14,8 @@ import pytest
 
 from parallel_dataflow_ray import fixtures
 from parallel_dataflow_ray.streaming import (
-    ExactlyOnceSink, OracleExecutor, SessionWindows, StreamEngine,
-    TumblingWindows,
+    ExactlyOnceSink, OracleExecutor, SessionWindows, SlidingWindows,
+    StreamEngine, TumblingWindows,
 )
 from parallel_dataflow_ray.streaming.kernels import KERNELS
 from parallel_dataflow_ray.streaming.oracle import canonical_sort
@@ -37,9 +37,10 @@ def _sink_rows(root) -> list[dict]:
     return canonical_sort(t.to_pylist()) if t is not None else []
 
 
-def _oracle_rows(kind, op_kwargs):
+def _oracle_rows(kind, op_kwargs, flush=False):
     epochs = epochs_from_table(_table(), EPOCH_ROWS)
-    rows, _ = OracleExecutor(kind, op_kwargs, LATENESS_US).run(epochs)
+    rows, _ = OracleExecutor(kind, op_kwargs, LATENESS_US).run(
+        epochs, final_flush=flush)
     return canonical_sort(rows)
 
 
@@ -54,20 +55,40 @@ def _engine(tmp, kind, op_kwargs, p):
                          ids=["scale-down", "scale-up", "to-one"])
 @pytest.mark.parametrize("kernel", ["clip_stats", "content_dedup"])
 def test_rescale_window_exactly_once(tmp_path, p_old, p_new, kernel):
-    kw = {"spec": KERNELS[kernel](), "assigner": WIN}
+    _rescale_window(tmp_path, p_old, p_new,
+                    {"spec": KERNELS[kernel](), "assigner": WIN}, flush=False)
+
+
+@pytest.mark.parametrize("p_old,p_new", [(4, 2), (2, 4)],
+                         ids=["scale-down", "scale-up"])
+@pytest.mark.parametrize("kernel", ["clip_stats", "codec_funnel"])
+def test_rescale_sliding_exactly_once(tmp_path, p_old, p_new, kernel):
+    """Slices re-keyed by the new P keep the closed watermark: windows
+    closed before the checkpoint are not emitted again, and open ones
+    are built from the re-keyed slices.  The stream is about one window
+    long, so the end-of-stream flush emits the windows still open at the
+    crash."""
+    _rescale_window(tmp_path, p_old, p_new,
+                    {"spec": KERNELS[kernel](),
+                     "assigner": SlidingWindows(5_000_000, 2_000_000)},
+                    flush=True)
+
+
+def _rescale_window(tmp_path, p_old, p_new, kw, flush):
     epochs = epochs_from_table(_table(), EPOCH_ROWS)
     kill_at = len(epochs) // 2
     _engine(tmp_path, "window", kw, p_old).run(epochs,
                                                stop_after_epoch=kill_at)
-    oracle = _oracle_rows("window", kw)
+    oracle = _oracle_rows("window", kw, flush)
     assert len(_sink_rows(tmp_path / "sink")) < len(oracle)
 
-    res = _engine(tmp_path, "window", kw, p_new).run(epochs)
+    res = _engine(tmp_path, "window", kw, p_new).run(epochs,
+                                                     final_flush=flush)
     assert res["start_epoch"] > 0          # resumed, not re-ran
     assert _sink_rows(tmp_path / "sink") == oracle
 
     # a third full replay at the NEW parallelism changes nothing
-    _engine(tmp_path, "window", kw, p_new).run(epochs)
+    _engine(tmp_path, "window", kw, p_new).run(epochs, final_flush=flush)
     assert _sink_rows(tmp_path / "sink") == oracle
 
 

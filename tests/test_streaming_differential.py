@@ -9,6 +9,10 @@ for every kernel K1-K4 + the practical aggregates.
 
 from __future__ import annotations
 
+import math
+import pickle
+from collections import Counter
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -61,9 +65,9 @@ def test_kernel_parity_tumbling(kernel, ooo):
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_sliding_window_parity(kernel):
-    """EVERY kernel under sliding panes — incl. the buffered CEP
-    automata, where "funnel within any covering pane" means the same
-    row set folds per pane independently."""
+    """EVERY kernel under sliding windows — incl. the buffered CEP
+    automata, where "funnel within any covering window" means each
+    window folds the union of its slices' rows independently."""
     spec = KERNELS[kernel]()
     win = SlidingWindows(3_000_000, 1_000_000)
     table = _clips(True)
@@ -74,29 +78,73 @@ def test_sliding_window_parity(kernel):
 
 
 def test_sliding_assign_non_divisor():
-    """size % slide != 0: ``_window_runs`` must put a row in every
-    covering pane (brute-force enumeration as ground truth — the oracle
-    shares this code, so differential parity alone cannot catch a
-    dropped pane)."""
+    """size % slide != 0: ``_window_runs`` must put each row in exactly
+    one slice, at ``ts // gcd * gcd``, and the operator must emit every
+    covering window of a row from its slices (brute-force enumeration
+    as ground truth — the oracle shares this code, so differential
+    parity alone cannot catch a dropped window).  All rows under one
+    key, through a kernel whose merge mutates its first argument, must
+    count each window's rows exactly: a window merged INTO a stored
+    slice would leak into the later windows that read that slice."""
     stamps = [0, 1, 4_500_000, 5_999_999, 6_000_000, 123_456_789]
     table = pa.table({"speaker_id": [str(ts) for ts in stamps],
                       "event_ts": pa.array(stamps, pa.int64()),
-                      "offset": pa.array(range(len(stamps)), pa.int64())})
+                      "offset": pa.array(range(len(stamps)), pa.int64()),
+                      "dur_ms": [10] * len(stamps),
+                      "sr_hz": [8000] * len(stamps)})
+    one_key = table.set_column(0, "speaker_id",
+                               pa.array(["k"] * len(stamps)))
     spec = KERNELS["clip_stats"]()
     for size, slide in [(5_000_000, 2_000_000), (3_000_000, 2_000_000),
                         (7_000_000, 3_000_000), (4_000_000, 4_000_000)]:
-        _, runs, _, kuniq, _ = _window_runs(
-            table, spec, SlidingWindows(size, slide), "event_ts", MIN_TS)
-        got: dict = {}
-        for kc, w, s, e in runs:
-            assert e - s == 1
-            got.setdefault(int(kuniq[kc]), []).append(w)
-        for ts in stamps:
+        g = math.gcd(size, slide)
+        win = SlidingWindows(size, slide)
+
+        def covering(ts):
             last = (ts // slide) * slide
-            want = [(s, s + size)
+            return [(s, s + size)
                     for s in range(last - 10 * slide, last + 1, slide)
                     if s <= ts < s + size]
-            assert sorted(got[ts]) == want, (size, slide, ts)
+
+        _, runs, _, kuniq, _ = _window_runs(table, spec, win, "event_ts",
+                                            MIN_TS)
+        got = [(int(kuniq[kc]), w) for kc, w, s, e in runs]
+        assert all(e - s == 1 for _, _, s, e in runs)
+        assert sorted(got) == sorted((ts, (ts // g * g, ts // g * g + g))
+                                     for ts in stamps), (size, slide)
+        op = WindowedAggregateOp(spec, win)
+        op.apply(table, MIN_TS)
+        emitted: dict = {}
+        for r in op.on_watermark(2**62):
+            assert r["n_clips"] == 1
+            emitted.setdefault(int(r["key"]), []).append(
+                (r["window_start"], r["window_end"]))
+        for ts in stamps:
+            assert sorted(emitted[ts]) == covering(ts), (size, slide, ts)
+        assert not op.states
+        op = WindowedAggregateOp(KERNELS["quantile_hist"](), win)
+        op.apply(one_key, MIN_TS)
+        got_n = {(r["window_start"], r["window_end"]): r["n"]
+                 for r in op.on_watermark(2**62)}
+        assert got_n == Counter(w for ts in stamps for w in covering(ts))
+
+
+@pytest.mark.parametrize("kernel", sorted(k for k, c in KERNELS.items()
+                                          if c().incremental))
+def test_merge_contract(kernel):
+    """Slicing builds each window as ``merge(initial_state(), slice,
+    ...)``, so every incremental kernel's merge must (a) have the
+    initial state as identity and (b) leave its second argument — a
+    stored slice that later windows still read — unchanged."""
+    spec = KERNELS[kernel]()
+    table = _clips(True)
+    half = table.num_rows // 2
+    a = spec.update_table(spec.initial_state(), table.slice(0, half))
+    b = spec.update_table(spec.initial_state(), table.slice(half))
+    b_bytes = pickle.dumps(b)
+    assert pickle.dumps(spec.merge(spec.initial_state(), b)) == b_bytes
+    spec.merge(a, b)
+    assert pickle.dumps(b) == b_bytes
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
@@ -116,18 +164,27 @@ def test_session_window_parity(kernel):
 
 
 def test_buffered_snapshot_holds_run_copies():
-    """A buffered kernel keeps COPIES of its runs: after one epoch that
-    closes most windows, the checkpoint payload is smaller than the
-    epoch's input (a buffered slice would pickle its parent table's
-    whole buffers, once per open run)."""
+    """A buffered kernel keeps COPIES of the columns it reads: after one
+    epoch that closes most windows, each kept run holds only
+    ``event_ts``, ``offset`` and ``transcript``, and the checkpoint
+    payload is smaller than the ``transcript`` column plus the kept
+    rows' offsets and timestamps (a buffered slice would pickle its
+    parent table's whole buffers, once per open run; an unpruned copy
+    would carry the audio payload)."""
     table = _clips(False)
     op = WindowedAggregateOp(KERNELS["reverse_live_words"](),
                              TumblingWindows(1_000_000))
     op.apply(table, MIN_TS)
     max_ts = pa.compute.max(table["event_ts"].cast(pa.int64())).as_py()
     assert op.on_watermark(max_ts // 1_000_000 * 1_000_000)
-    assert op.states
-    assert len(op.snapshot()) < table.nbytes
+    runs = [r for buf in op.states.values() for r in buf]
+    assert runs
+    assert all(sorted(r.column_names) == ["event_ts", "offset", "transcript"]
+               for r in runs)
+    n_kept = sum(r.num_rows for r in runs)
+    bound = table["transcript"].nbytes + n_kept * (
+        table["offset"].nbytes + table["event_ts"].nbytes) // table.num_rows
+    assert len(op.snapshot()) < bound
 
 
 @pytest.mark.parametrize("make_op", [

@@ -832,8 +832,8 @@ def pq_topk_rerank(ds: rd.Dataset, code_ds: rd.Dataset,
     fraction of the exact path's compute/IO; the float corpus is
     touched once, for the shortlist only."""
     short = pq_topk(code_ds, queries, rerank, codebooks, id_col=id_col)
-    wanted = np.unique(short[id_col].to_numpy())
-    wref = ray.put(set(int(x) for x in wanted))
+    wanted = np.unique(short[id_col].to_numpy())  # sorted
+    wref = ray.put(wanted)
     qref = ray.put(queries)
 
     class Rerank:
@@ -846,8 +846,7 @@ def pq_topk_rerank(ds: rd.Dataset, code_ds: rd.Dataset,
                 self.w = ray.get(wref)
                 self.q = ray.get(qref)
             ids = batch[id_col].to_numpy()
-            keep = np.fromiter((int(i) in self.w for i in ids), bool,
-                               len(ids))
+            keep = np.isin(ids, self.w)
             if not keep.any():
                 return pd.DataFrame({id_col: np.empty(0, ids.dtype),
                                      "query_id": np.empty(0, np.int64),
@@ -984,7 +983,7 @@ def ivfpq_topk(ds: rd.Dataset, code_ds: rd.Dataset, queries: np.ndarray,
         max(rerank, k)).reset_index(drop=True)
 
     # exact rerank over the shortlist's float rows only
-    wanted = set(int(x) for x in short[id_col].unique())
+    wanted = np.unique(short[id_col].to_numpy())  # sorted
     wref = ray.put(wanted)
     qref = ray.put(queries)
 
@@ -998,8 +997,7 @@ def ivfpq_topk(ds: rd.Dataset, code_ds: rd.Dataset, queries: np.ndarray,
                 self.w = ray.get(wref)
                 self.q = ray.get(qref)
             ids = batch[id_col].to_numpy()
-            keep = np.fromiter((int(i) in self.w for i in ids), bool,
-                               len(ids))
+            keep = np.isin(ids, self.w)
             if not keep.any():
                 return pd.DataFrame({id_col: np.empty(0, ids.dtype),
                                      "query_id": np.empty(0, np.int64),

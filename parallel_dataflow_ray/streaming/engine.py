@@ -49,12 +49,12 @@ import pyarrow.compute as pc
 import ray
 
 from .checkpoint import CheckpointStore
-from .oracle import canonical_sort
+from .oracle import canonical_order
 from .partitioning import partition_ids, split_by_partition
 from .sink import ExactlyOnceSink
 from .spec import StreamOpSpec
 from .watermark import MIN_TS
-from .operators import make_operator
+from .operators import concat_nonempty, make_operator
 
 END_WM = 2**62
 
@@ -159,7 +159,7 @@ class PartitionWorker:
             self.op.capture_late = True
         self.ckpt = CheckpointStore(ckpt_root, partition) if ckpt_root else None
         self.max_offset = -1
-        self._pending: list[dict] = []
+        self._pending: list[pa.Table] = []  # this epoch's emitted tables
         self._ingest_s = 0.0
         #: running per-key row counts (heavy-hitter detection feed): an
         #: unsalted key's rows all land here, so this partition's count
@@ -254,7 +254,7 @@ class PartitionWorker:
             rows, partials = self.op.on_watermark_split(wm)
         else:
             rows, partials = self.op.on_watermark(wm), []
-        self._pending.extend(rows)
+        self._pending.append(rows)
         self._ingest_s = self._time.perf_counter() - t0
         return partials
 
@@ -275,14 +275,16 @@ class PartitionWorker:
     def finalize_epoch(self, epoch: int, wm: int, partial_groups: dict,
                        *, checkpoint: bool, collect: bool,
                        commit: bool = True) -> dict:
-        """Phase 2: merge partials owned by this partition, commit the
-        epoch's emissions idempotently, checkpoint."""
+        """Phase 2: merge partials owned by this partition, order the
+        epoch's emitted tables with one Arrow sort, commit them
+        idempotently, checkpoint.  The metrics row carries the live
+        state (``state_rows``, ``state_bytes``) after the epoch."""
         t0 = self._time.perf_counter()
         if partial_groups:
-            self._pending.extend(self.op.merge_partials(partial_groups))
-        emitted = canonical_sort(self._pending)
+            self._pending.append(self.op.merge_partials(partial_groups))
+        table = concat_nonempty(self._pending)
         self._pending = []
-        table = pa.Table.from_pylist(emitted) if emitted else None
+        table = canonical_order(table) if table.num_rows else None
         t_commit = self._time.perf_counter()
         elapsed = self._ingest_s + (t_commit - t0)
         if self.sink is not None and commit:
@@ -297,20 +299,24 @@ class PartitionWorker:
         t_ckpt = self._time.perf_counter()
         if self.ckpt is not None and checkpoint and commit:
             self.ckpt.save(epoch, self.op.snapshot(), wm, self.max_offset)
+        t_end = self._time.perf_counter()
         # elapsed_s is ingest + close + emit; the sink commits and the
         # checkpoint (fsync included) are timed on their own
+        state_rows, state_bytes = self.op.state_stats()
         out = {"partition": self.partition, "epoch": epoch,
-               "emitted": len(emitted), "late_rows": self.op.late_rows,
+               "emitted": table.num_rows if table is not None else 0,
+               "late_rows": self.op.late_rows,
                "rows_seen": self.op.rows_seen, "elapsed_s": elapsed,
                "commit_s": t_ckpt - t_commit,
-               "ckpt_s": self._time.perf_counter() - t_ckpt,
-               "wait_s": getattr(self, "_wait_s", 0.0)}
+               "ckpt_s": t_end - t_ckpt,
+               "wait_s": getattr(self, "_wait_s", 0.0),
+               "state_rows": state_rows, "state_bytes": state_bytes}
         if self._track_keys and self._key_counts:
             import heapq as _hq
             top = _hq.nlargest(8, self._key_counts.items(), key=lambda kv: kv[1])
             out["key_counts"] = dict(top)
         if collect:
-            out["emitted_rows"] = emitted
+            out["emitted_rows"] = table
         return out
 
 
@@ -755,8 +761,9 @@ class StreamEngine:
                 self._last_rows[r["partition"]] = r.get("rows_seen", 0)
             self._maybe_resalt()
         if collect:
-            rows = [row for r in results for row in r.get("emitted_rows", [])]
-            per_epoch_emitted.append(canonical_sort(rows))
+            table = concat_nonempty([r["emitted_rows"] for r in results
+                                    if r.get("emitted_rows") is not None])
+            per_epoch_emitted.append(canonical_order(table).to_pylist())
 
     def _maybe_resalt(self) -> None:
         """Promote runtime heavy hitters to salted keys between epochs.

@@ -5,9 +5,11 @@ the graft of the reference's per-CFG ``in_vals``/``out_vals`` arrays
 owned by one thread (``impls/src/parallel.rs:24-25``) — and exposes the
 chassis interface the partition actor drives:
 
-    apply(table, wm_prev)      ingest one epoch's rows for this partition
-    on_watermark(wm) -> rows   close + emit everything the frontier passed
-    snapshot()/restore(bytes)  per-partition checkpoint payload
+    apply(table, wm_prev)       ingest one epoch's rows for this partition
+    on_watermark(wm) -> table   close + emit everything the frontier passed,
+                                as one Arrow table (0 columns when empty)
+    state_stats() -> (rows, b)  live state entries and their bytes
+    snapshot()/restore(bytes)   per-partition checkpoint payload
 
 State layout for fixed windows: a hash-map keyed ``(key, slice_start)``
 over ``gcd(size, slide)`` slices, each row folded into one slice, plus
@@ -19,15 +21,40 @@ from __future__ import annotations
 
 import math
 import pickle
+import sys
 from functools import reduce
 from typing import Any
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .spec import StreamOpSpec
 from .watermark import MIN_TS
 from .windows import SessionWindows
+
+
+def concat_nonempty(tables: list[pa.Table]) -> pa.Table:
+    """The rows of the non-empty ``tables`` as one table (0 columns when
+    there are none).  Emitted tables built from different row subsets
+    can infer different types for a column (all-null, int vs float),
+    hence permissive promotion."""
+    tables = [t for t in tables if t.num_rows]
+    if not tables:
+        return pa.table({})
+    if len(tables) == 1:
+        return tables[0]
+    return pa.concat_tables(tables, promote_options="permissive")
+
+
+def _state_nbytes(state) -> int:
+    """Approximate bytes of one window/session state: Arrow and numpy
+    buffers exactly, any other Python state shallowly."""
+    if isinstance(state, list) and state and isinstance(state[0], pa.Table):
+        return sum(t.nbytes for t in state)
+    if isinstance(state, np.ndarray):
+        return state.nbytes
+    return sys.getsizeof(state)
 
 
 def _empty_state(spec):
@@ -228,20 +255,21 @@ class WindowedAggregateOp:
             self.states[kw] = (spec.merge(self.states[kw], state)
                                if kw in self.states else state)
 
-    def on_watermark(self, wm: int) -> list[dict]:
+    def on_watermark(self, wm: int) -> pa.Table:
         rows, partials = self.on_watermark_split(wm)
         if partials:  # single-process path (oracle): merge locally
             groups: dict[tuple, list] = {}
             for key, w, s in partials:
                 groups.setdefault((key, w), []).append(s)
-            rows = rows + self.merge_partials(groups)
+            rows = concat_nonempty([rows, self.merge_partials(groups)])
         return rows
 
-    def on_watermark_split(self, wm: int) -> tuple[list[dict], list[tuple]]:
+    def on_watermark_split(self, wm: int) -> tuple[pa.Table, list[tuple]]:
         """Close windows ending in ``(self.wm, wm]``, each merged from
         its slices into a FRESH state (later windows still read the
         slices; some ``merge`` laws mutate their first argument).  Returns
-        (finished rows, salted keys' partials: [(key, window, state)])."""
+        (finished rows as a table, salted keys' partials: [(key, window,
+        state)])."""
         size, slide = self.assigner.size_us, self.assigner.slide_us
         g = math.gcd(size, slide)
         lo = (self.wm - size) // slide * slide + slide  # first start to close
@@ -272,13 +300,13 @@ class WindowedAggregateOp:
                 out.append(row)
         self.states = {ka: st for ka, st in self.states.items()
                        if ka[1] // slide * slide + size > wm}
-        return out, partials
+        return pa.Table.from_pylist(out), partials
 
-    def merge_partials(self, groups: dict[tuple, list[Any]]) -> list[dict]:
+    def merge_partials(self, groups: dict[tuple, list[Any]]) -> pa.Table:
         """Owner-side merge of salted partial states: {(key, window):
-        [state, ...]} -> finished rows.  For buffered (non-incremental)
-        specs the partials arrive as run buffers and are folded here in
-        full event order."""
+        [state, ...]} -> finished rows as a table.  For buffered
+        (non-incremental) specs the partials arrive as run buffers and
+        are folded here in full event order."""
         spec = self.spec
         out = []
         for (key, w), states in sorted(groups.items(),
@@ -287,7 +315,7 @@ class WindowedAggregateOp:
             row = spec.finish(key, w, _close_state(spec, merged))
             if row is not None:
                 out.append(row)
-        return out
+        return pa.Table.from_pylist(out)
 
     def take_late(self) -> pa.Table | None:
         """Drain this epoch's captured late rows (dead-letter side
@@ -296,10 +324,13 @@ class WindowedAggregateOp:
         never carry it and replay re-captures deterministically."""
         if not self._late_tbls:
             return None
-        t = (self._late_tbls[0] if len(self._late_tbls) == 1
-             else pa.concat_tables(self._late_tbls, promote_options="default"))
-        self._late_tbls = []
+        t, self._late_tbls = concat_nonempty(self._late_tbls), []
         return t
+
+    def state_stats(self) -> tuple[int, int]:
+        """(live slices, their approximate bytes)."""
+        return (len(self.states),
+                sum(_state_nbytes(st) for st in self.states.values()))
 
     # -- checkpoint --------------------------------------------------------
     def snapshot(self) -> bytes:
@@ -389,7 +420,7 @@ class SessionAggregateOp:
         keep.sort(key=lambda iv: iv[0])
         self.sessions[key] = keep
 
-    def on_watermark(self, wm: int) -> list[dict]:
+    def on_watermark(self, wm: int) -> pa.Table:
         out = []
         spec = self.spec
         for key in list(self.sessions):
@@ -406,7 +437,12 @@ class SessionAggregateOp:
                 self.sessions[key] = remain
             else:
                 del self.sessions[key]
-        return out
+        return pa.Table.from_pylist(out)
+
+    def state_stats(self) -> tuple[int, int]:
+        """(open session intervals, their approximate bytes)."""
+        ivs = [iv for v in self.sessions.values() for iv in v]
+        return len(ivs), sum(_state_nbytes(iv[2]) for iv in ivs)
 
     def snapshot(self) -> bytes:
         return pickle.dumps({"sessions": self.sessions, "late_rows": self.late_rows,
@@ -418,17 +454,33 @@ class SessionAggregateOp:
             d["sessions"], d["late_rows"], d["rows_seen"])
 
 
+def _take_ascending(table: pa.Table, idx: np.ndarray) -> pa.Table:
+    """``table.take(idx)`` for ascending ``idx``, one ``take`` per record
+    batch: Arrow's ``take`` on a multi-chunk column concatenates every
+    chunk first, which would copy a whole join store's payload for the
+    few rows a probe emits."""
+    batches = table.to_batches()
+    if len(batches) <= 1:
+        return table.take(pa.array(idx))
+    ends = np.cumsum([b.num_rows for b in batches])
+    cuts = np.searchsorted(idx, ends)
+    parts = [b.take(pa.array(idx[lo:hi] - (end - b.num_rows)))
+             for b, lo, hi, end in zip(batches, np.r_[0, cuts[:-1]], cuts, ends)
+             if hi > lo]
+    return pa.Table.from_batches(parts, schema=table.schema)
+
+
 class SymmetricJoinOp:
     """Stateful symmetric hash join between two co-partitioned streams.
 
-    Per-partition actor state = two hash tables keyed on ``key_column``
-    (north_star: "a stateful symmetric hash join between the audio-clip
-    stream and the transcript stream").  Each arriving row probes the
-    opposite table and emits every pair within ``time_bound_us`` of
-    event time; rows evict once the watermark guarantees no future
-    match (wm >= ts + time_bound).  Partitioning both streams on the
-    same key hash is what makes the per-partition tables complete —
-    the Streaming-HyperCube-style co-partitioning argument.
+    Per-partition actor state = one Arrow table per side (north_star: "a
+    stateful symmetric hash join between the audio-clip stream and the
+    transcript stream").  Each arriving row probes the opposite table
+    and emits every pair within ``time_bound_us`` of event time; rows
+    evict once the watermark guarantees no future match (wm >= ts +
+    time_bound).  Partitioning both streams on the same key hash is
+    what makes the per-partition tables complete — the
+    Streaming-HyperCube-style co-partitioning argument.
 
     Input rows must carry ``__stream`` (0 = left, 1 = right).
     """
@@ -441,16 +493,15 @@ class SymmetricJoinOp:
         self.left_columns = tuple(left_columns)
         self.right_columns = tuple(right_columns)
         self.ts_column = ts_column
-        # COLUMNAR state: one pandas frame per side (key, event_ts,
-        # offset, payload cols) — probes are vectorized merges, never a
-        # per-row dict of the binary audio payload
-        self.stores: list = [None, None]
-        self.seen: tuple[set, set] = (set(), set())  # offsets per side
-        self.pending: list[dict] = []  # matched this epoch, not yet collected
+        # COLUMNAR state: one Arrow table per side (key, event_ts int64,
+        # offset, payload cols), its chunks copies of the input rows —
+        # probes join (key, row index) projections, and the payload is
+        # taken once, for the emitted pairs only
+        self.stores: list[pa.Table | None] = [None, None]
+        self.pending: list[pa.Table] = []  # matched this epoch, not yet collected
         self.late_rows = 0
         self.rows_seen = 0
-        # output keeps the old dict-row semantics: left payload first,
-        # right payload overwrites on name collision
+        # left payload first, right payload overwrites on name collision
         self._left_payload = tuple(c for c in dict.fromkeys(self.left_columns)
                                    if c not in self.right_columns)
         self._right_payload = tuple(dict.fromkeys(self.right_columns))
@@ -460,98 +511,107 @@ class SymmetricJoinOp:
         return list(dict.fromkeys(
             [self.key_column, "event_ts", "offset", *payload]))
 
-    def _probe(self, l, r) -> None:
+    def _probe(self, l: pa.Table | None, r: pa.Table | None) -> None:
         """Emit all (left, right) pairs with equal key within the time
-        bound — one vectorized merge + mask per probe."""
-        if l is None or r is None or len(l) == 0 or len(r) == 0:
+        bound: one key join over (key, row index) projections, a
+        ``|Δt| <= bound`` mask, and one ``take`` of each side's payload."""
+        if l is None or r is None or l.num_rows == 0 or r.num_rows == 0:
             return
-        lk = l[list(dict.fromkeys(
-            [self.key_column, "event_ts", *self._left_payload]))].rename(
-            columns={"event_ts": "ts_left"})
-        rk = r[list(dict.fromkeys(
-            [self.key_column, "event_ts", *self._right_payload]))].rename(
-            columns={"event_ts": "ts_right"})
-        m = lk.merge(rk, on=self.key_column)
-        if m.empty:
+        k = self.key_column
+        pairs = pa.table({k: l[k], "__l": np.arange(l.num_rows)}).join(
+            pa.table({k: r[k], "__r": np.arange(r.num_rows)}), k,
+            join_type="inner", use_threads=False)
+        li, ri = pairs["__l"].to_numpy(), pairs["__r"].to_numpy()
+        ts_l, ts_r = l["event_ts"].to_numpy()[li], r["event_ts"].to_numpy()[ri]
+        ok = np.abs(ts_l - ts_r) <= self.time_bound_us
+        if not ok.any():
             return
-        m = m[(m["ts_left"] - m["ts_right"]).abs() <= self.time_bound_us]
-        if m.empty:
-            return
-        cols = [self.key_column, "ts_left", "ts_right",
-                *self._left_payload, *self._right_payload]
-        self.pending.extend(m[cols].to_dict("records"))
+        li, ri, ts_l, ts_r = li[ok], ri[ok], ts_l[ok], ts_r[ok]
+        # the stored side may be chunked: take its rows in ascending order
+        order = np.lexsort((li, ri) if r[k].num_chunks > 1 else (ri, li))
+        li, ri, ts_l, ts_r = li[order], ri[order], ts_l[order], ts_r[order]
+        lp = _take_ascending(
+            l.select(list(dict.fromkeys([k, *self._left_payload]))), li)
+        rp = _take_ascending(r.select(list(self._right_payload)), ri)
+        cols = {k: lp[k], "ts_left": ts_l, "ts_right": ts_r}
+        cols.update((c, lp[c]) for c in self._left_payload)
+        cols.update((c, rp[c]) for c in self._right_payload)
+        self.pending.append(pa.table(cols))
 
     def apply(self, table: pa.Table, wm_prev: int) -> None:
-        import pandas as pd
-
         if table.num_rows == 0:
             return
-        n = table.num_rows
-        self.rows_seen += n
+        self.rows_seen += table.num_rows
         ts = table[self.ts_column].cast(pa.int64()).to_numpy()
         late = wm_prev >= ts + self.time_bound_us
         self.late_rows += int(late.sum())  # every possible match already evicted
         if late.all():
             return
         stream = table["__stream"].to_numpy(zero_copy_only=False)
-        news = []
+        offsets = table["offset"].to_numpy()
+        news: list[pa.Table | None] = []
         for side in (0, 1):
-            # select each side's rows and columns in Arrow first: in a
-            # frame of both streams, the other side's nulls would turn
-            # integer payload columns into float64
             idx = np.nonzero(~late & (stream == side))[0]
+            # idempotent re-ingest (replayed epoch): keep the first row of
+            # each offset the side does not already store
+            _, first = np.unique(offsets[idx], return_index=True)
+            idx = idx[np.sort(first)]
+            st = self.stores[side]
+            if st is not None and idx.size:
+                idx = idx[~np.isin(offsets[idx], st["offset"].to_numpy())]
+            if idx.size == 0:
+                news.append(None)
+                continue
+            # each side's own rows and columns, copied: a slice would
+            # pickle its parent's buffers into every checkpoint
             cols = [c for c in self._side_cols(side) if c in table.column_names]
-            sub = table.take(pa.array(idx)).select(cols).to_pandas()
-            sub["event_ts"] = ts[idx]
-            if len(sub):
-                # idempotent re-ingest (replayed epoch): offset-keyed
-                sub = sub[~sub["offset"].isin(self.seen[side])]
-                sub = sub.drop_duplicates("offset")
-            news.append(sub)
+            new = table.select(cols).take(pa.array(idx))
+            i = new.schema.get_field_index("event_ts")
+            ts_new = pa.array(ts[idx])
+            news.append(new.set_column(i, "event_ts", ts_new) if i >= 0
+                        else new.append_column("event_ts", ts_new))
         # pair set = new0×stored1 ∪ stored0×new1 ∪ new0×new1 — exactly the
         # pairs the row-at-a-time probe emitted, order-independent
         self._probe(news[0], self.stores[1])
         self._probe(self.stores[0], news[1])
         self._probe(news[0], news[1])
-        for side in (0, 1):
-            if len(news[side]) == 0:
-                continue
-            self.seen[side].update(map(int, news[side]["offset"]))
+        for side, new in enumerate(news):
             st = self.stores[side]
-            self.stores[side] = (news[side] if st is None
-                                 else pd.concat([st, news[side]],
-                                                ignore_index=True))
+            if new is not None:
+                self.stores[side] = (new if st is None else pa.concat_tables(
+                    [st, new], promote_options="permissive"))
 
-    def on_watermark(self, wm: int) -> list[dict]:
-        out, self.pending = self.pending, []
+    def on_watermark(self, wm: int) -> pa.Table:
+        out, self.pending = concat_nonempty(self.pending), []
         for side in (0, 1):
             st = self.stores[side]
-            if st is None or len(st) == 0:
+            if st is None or st.num_rows == 0:
                 continue
             # keep rows with ts + bound >= wm: a future in-order row can
             # sit EXACTLY at the bound (ts_new = wm = ts_old + bound) and
             # must still find its partner (strict > lost the boundary
-            # pair when an epoch boundary fell between the two rows)
-            mask = (st["event_ts"] + self.time_bound_us >= wm).to_numpy()
-            if not mask.all():
-                kept = st[mask].reset_index(drop=True)
-                self.stores[side] = kept
-                # prune the dedup set with the store: an evicted row's
-                # replay either hits the late check (live runs use the
-                # current watermark) or lands in an epoch the sink's
-                # (partition, epoch) manifest already absorbs (resume)
-                self.seen[side].intersection_update(map(int, kept["offset"]))
+            # pair when an epoch boundary fell between the two rows).  An
+            # evicted row's replay either hits the late check (live runs
+            # use the current watermark) or lands in an epoch the sink's
+            # (partition, epoch) manifest already absorbs (resume).
+            keep = pc.greater_equal(st["event_ts"], wm - self.time_bound_us)
+            if not pc.all(keep).as_py():
+                self.stores[side] = st.filter(keep)
         return out
 
+    def state_stats(self) -> tuple[int, int]:
+        """(stored rows, their Arrow bytes), both sides together."""
+        live = [st for st in self.stores if st is not None]
+        return sum(st.num_rows for st in live), sum(st.nbytes for st in live)
+
     def snapshot(self) -> bytes:
-        return pickle.dumps({"stores": self.stores, "seen": self.seen,
-                             "pending": self.pending,
+        return pickle.dumps({"stores": self.stores, "pending": self.pending,
                              "late_rows": self.late_rows, "rows_seen": self.rows_seen},
                             protocol=pickle.HIGHEST_PROTOCOL)
 
     def restore(self, blob: bytes) -> None:
         d = pickle.loads(blob)
-        self.stores, self.seen, self.pending = d["stores"], d["seen"], d["pending"]
+        self.stores, self.pending = d["stores"], d["pending"]
         self.late_rows, self.rows_seen = d["late_rows"], d["rows_seen"]
 
 

@@ -17,18 +17,36 @@ operator semantics.
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .operators import make_operator
 from .watermark import WatermarkClock
 
-EMIT_SORT_KEY = None  # module doc anchor; see canonical_sort below
+
+def _orderable(t: pa.DataType) -> bool:
+    return not (pa.types.is_nested(t) or pa.types.is_dictionary(t))
 
 
-def canonical_sort(rows: list[dict]) -> list[dict]:
-    """Deterministic output order for engine-vs-oracle comparison:
-    emissions are unordered sets per epoch, so both sides sort by the
-    full row repr (stable, schema-agnostic)."""
-    return sorted(rows, key=lambda r: repr(sorted(r.items(), key=lambda kv: kv[0])))
+def canonical_order(table: pa.Table) -> pa.Table:
+    """Deterministic row order for engine-vs-oracle comparison: each
+    epoch's emissions are an unordered set, so both sides sort by every
+    orderable column (nested and dictionary columns aside), in
+    column-name order, ``bytes`` included — one Arrow sort."""
+    keys = [(c, "ascending") for c in sorted(table.column_names)
+            if _orderable(table.schema.field(c).type)]
+    if table.num_rows < 2 or not keys:
+        return table
+    return table.take(pc.sort_indices(table, sort_keys=keys))
+
+
+def canonical_sort(rows: pa.Table | list[dict] | None) -> list[dict]:
+    """:func:`canonical_order` as a list of row dicts (a list of dicts is
+    turned into a table first), for comparisons in tests and tools."""
+    if rows is None:
+        return []
+    if not isinstance(rows, pa.Table):
+        rows = pa.Table.from_pylist(list(rows))
+    return canonical_order(rows).to_pylist()
 
 
 class OracleExecutor:

@@ -8,8 +8,8 @@ per-partition operator state to a new hash partitioning — Flink-style
 rescaling, rebuilt on this engine's own primitives:
 
 - every operator's state is keyed (window: ``(key, slice) -> state``;
-  session: ``key -> intervals``; join: per-side frames carrying the key
-  column), and the engine routes rows by ``partition_ids(key, P)`` —
+  session: ``key -> intervals``; join: one Arrow table per side carrying
+  the key column), and the engine routes rows by ``partition_ids(key, P)`` —
   so resharding = route every state entry by the NEW P and merge
   whatever lands together.
 - merges reuse the operators' OWN combine laws (``merge_states``:
@@ -94,37 +94,26 @@ def _reshard_session(snaps: list[dict], new_p: int, op_factory) -> list[dict]:
 
 
 def _reshard_join(snaps: list[dict], new_p: int, op) -> list[dict]:
-    import pandas as pd
+    import pyarrow as pa
 
-    key_col = op.key_column
-    stores: list[list] = [[None, None] for _ in range(new_p)]
-    for side in (0, 1):
-        frames = [d["stores"][side] for d in snaps
-                  if d["stores"][side] is not None
-                  and len(d["stores"][side])]
-        if not frames:
-            continue
-        allf = pd.concat(frames, ignore_index=True)
-        pid = partition_ids(allf[key_col].tolist(), new_p)
-        for p in range(new_p):
-            sub = allf[pid == p]
-            if len(sub):
-                stores[p][side] = sub.reset_index(drop=True)
-    # seen-offset sets: offsets are globally unique row ids; the union
-    # is a safe superset on every new partition (a replayed offset
-    # routes to exactly one partition and is genuinely pre-checkpoint)
-    seen = (set().union(*(d["seen"][0] for d in snaps)),
-            set().union(*(d["seen"][1] for d in snaps)))
-    pend: list[list] = [[] for _ in range(new_p)]
-    leftover = [r for d in snaps for r in d["pending"]]
-    if leftover:
-        for row, pid in zip(leftover,
-                            _route([r[key_col] for r in leftover], new_p)):
-            pend[pid].append(row)
+    from .operators import concat_nonempty
+
+    def route(tables: list) -> list:
+        """Concatenate tables and split their rows by key over new_p."""
+        t = concat_nonempty([x for x in tables if x is not None])
+        if t.num_rows == 0:
+            return [None] * new_p
+        pid = partition_ids(t[op.key_column].to_pylist(), new_p)
+        return [t.filter(pa.array(pid == p)) for p in range(new_p)]
+
+    # each replayed offset routes to the one new partition that now
+    # stores its row, so dedup against that partition's own store holds
+    sides = [route([d["stores"][side] for d in snaps]) for side in (0, 1)]
+    pend = route([t for d in snaps for t in d["pending"]])
     out = []
     for pid in range(new_p):
-        out.append({"stores": stores[pid], "seen": seen,
-                    "pending": pend[pid],
+        out.append({"stores": [sides[0][pid], sides[1][pid]],
+                    "pending": [pend[pid]] if pend[pid] is not None else [],
                     "late_rows": sum(d["late_rows"] for d in snaps)
                     if pid == 0 else 0,
                     "rows_seen": sum(d["rows_seen"] for d in snaps)

@@ -110,9 +110,11 @@ def test_lineage_records(tmp_path):
     # durable run an epoch that emits writes and fsyncs a fragment
     for m in res["metrics"]:
         assert m["commit_s"] >= 0 and m["ckpt_s"] >= 0, m
+        assert m["state_rows"] >= 0 and m["state_bytes"] >= 0, m
         if m["emitted"]:
             assert m["commit_s"] > 0, m
     assert any(m["emitted"] for m in res["metrics"])
+    assert any(m["state_rows"] and m["state_bytes"] for m in res["metrics"])
     lin = ExactlyOnceSink.lineage(str(tmp_path / "sink"))
     assert {r["partition"] for r in lin} == set(range(P))
     for r in lin:

@@ -115,7 +115,7 @@ def test_sliding_assign_non_divisor():
         op = WindowedAggregateOp(spec, win)
         op.apply(table, MIN_TS)
         emitted: dict = {}
-        for r in op.on_watermark(2**62):
+        for r in op.on_watermark(2**62).to_pylist():
             assert r["n_clips"] == 1
             emitted.setdefault(int(r["key"]), []).append(
                 (r["window_start"], r["window_end"]))
@@ -125,7 +125,7 @@ def test_sliding_assign_non_divisor():
         op = WindowedAggregateOp(KERNELS["quantile_hist"](), win)
         op.apply(one_key, MIN_TS)
         got_n = {(r["window_start"], r["window_end"]): r["n"]
-                 for r in op.on_watermark(2**62)}
+                 for r in op.on_watermark(2**62).to_pylist()}
         assert got_n == Counter(w for ts in stamps for w in covering(ts))
 
 

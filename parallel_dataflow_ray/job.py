@@ -41,8 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "per epoch (exactly-once) instead of only counted")
     p.add_argument("--ckpt", default=None)
     p.add_argument("--ckpt-interval", type=int, default=4)
-    p.add_argument("--salt-hot-keys", action="store_true",
-                   help="pre-scan for hot keys and salt them")
     p.add_argument("--metrics-out", default=None,
                    help="write per-partition lineage/throughput parquet here")
     return p
@@ -52,8 +50,7 @@ def run_job(args) -> dict:
     from .streaming import (SessionWindows, SlidingWindows, StreamEngine,
                             TumblingWindows)
     from .streaming.kernels import KERNELS
-    from .streaming.partitioning import (detect_hot_keys, load_epoch,
-                                         parquet_epochs)
+    from .streaming.partitioning import parquet_epochs
 
     spec = KERNELS[args.kernel]()
     if args.window == "tumbling":
@@ -68,18 +65,12 @@ def run_job(args) -> dict:
         op_kind = "session"
 
     epochs = parquet_epochs(args.input)
-    salted = None
-    if args.salt_hot_keys and epochs:
-        head = load_epoch(epochs[0])
-        salted = detect_hot_keys(head, spec.key_column,
-                                 num_partitions=args.partitions or 8) or None
-
     eng = StreamEngine(op_kind, {"spec": spec, "assigner": assigner},
                        num_partitions=args.partitions,
                        allowed_lateness_us=args.lateness_ms * 1000,
                        sink_root=args.sink, ckpt_root=args.ckpt,
                        late_root=args.late_sink,
-                       ckpt_interval=args.ckpt_interval, salted_keys=salted,
+                       ckpt_interval=args.ckpt_interval,
                        actor_num_cpus=1)
     res = eng.run(epochs, final_flush=True)
     # rows_seen is a per-partition cumulative counter: take each
@@ -95,7 +86,6 @@ def run_job(args) -> dict:
         "emitted": sum(m["emitted"] for m in res["metrics"]),
         "late_rows": sum(m["late_rows"] for m in res["metrics"]
                          if m["epoch"] == len(epochs)),
-        "salted_keys": sorted(salted) if salted else [],
     }
     if args.metrics_out and args.sink:
         write_metrics(args.sink, args.metrics_out)

@@ -90,7 +90,7 @@ class CheckpointStore:
         """Retention: delete checkpoint files no resume can ever load.
 
         Both same-P and rescale resume load exactly
-        ``resume_epoch = min_p(latest(p))`` (engine.py:552,579), so any
+        ``resume_epoch = min_p(latest(p))`` (``StreamEngine._run_once``), so any
         epoch BELOW the global minimum is dead state — a long stream
         with ``ckpt_interval=k`` otherwise accumulates epochs/k
         snapshots per partition forever.  Keeps every epoch >= the

@@ -4,34 +4,35 @@ Graft of the reference's frontier-batched parallel worklist executor
 (``impls/src/parallel.rs:14-91``): there, each round takes the whole
 dirty frontier, fans it to a rayon pool against a state snapshot, then
 merges results and builds the next frontier.  Here one **epoch** is one
-round, executed as a BSP superstep in two phases:
+round:
 
-  phase 1 — INGEST: stateless split tasks hash-partition the epoch's
-    Arrow blocks on the operator key (one Ray task per block,
-    ``num_returns=P`` object refs; rows move through the object store,
-    never the driver).  P partition actors fold their shards into their
-    key-window state stores and close windows the (precomputed,
-    input-deterministic) watermark passed.  Closed windows of *salted*
-    hot keys yield partial states instead of rows.
+  map side — shuffle-map tasks split the epoch's Arrow blocks on the
+    operator key (one call per block, ``num_returns=P`` object refs;
+    data moves through the object store, never the driver).  For a
+    tumbling or sliding window the map side also FOLDS: each block's
+    rows become per-(key, slice) partial states
+    (:func:`operators.combine_window_block`), and only those ship.
 
-  phase 2 — FINALIZE: partials are routed to each key's owner partition
-    (``stable_hash(key) % P``), merged via the operator spec's
-    semilattice ``merge``, finished, appended to the epoch's emissions,
-    committed to the exactly-once sink, and checkpointed.
+  partition side — P long-lived partition actors merge their partials
+    (or apply their row shards: join, session), close what the
+    (precomputed, input-deterministic) watermark passed, commit the
+    epoch to the exactly-once sink and checkpoint, all in one call
+    (``PartitionWorker.process_epoch``).
 
 Unlike the reference, whose merge phase is single-threaded and is
 explicitly called out as the bottleneck (``blog/blog.md:47``), both
-phases here are partition-parallel; the driver only moves epoch
-metadata (refs, watermarks, partial-state envelopes for hot keys).
+sides here are partition-parallel, and per-actor message order keeps
+each partition's epochs in order, so epochs pipeline with no driver
+barrier; the driver only moves epoch metadata (refs and watermarks).
 
-Skew: ``salted_keys = {key: n_salts}`` routes a hot key's rows across
-``n_salts`` partitions (the blog's skew finding, ``blog/blog.md:84``,
-is the motivation; semilattice merge is the correctness argument,
-``blog/blog.md:91-103``).  The windowed aggregate ships partial states
-to the key's owner; the symmetric join uses the salt-one-side /
-broadcast-the-other decomposition instead (``join_broadcast_side``):
-each hot-key pair meets on exactly one partition, so matches stay
-final and no merge phase exists.
+Skew (the blog's finding, ``blog/blog.md:84``): a window needs no
+option — every block is a salt, so a hot key costs its owner at most
+one partial per (block, slice), merged by the spec's semilattice
+``merge`` (``blog/blog.md:91-103``).  The symmetric join takes
+``salted_keys = {key: n_salts}`` and the salt-one-side /
+broadcast-the-other decomposition (``join_broadcast_side``): each
+hot-key pair meets on exactly one partition, so matches stay final and
+no merge phase exists.
 
 Scale notes: actors are long-lived (state amortized across epochs);
 shards are shipped as object refs so Ray can spill under pressure; the
@@ -50,30 +51,19 @@ import ray
 
 from .checkpoint import CheckpointStore
 from .oracle import canonical_order
-from .partitioning import partition_ids, split_by_partition
+from .partitioning import load_epoch, split_by_partition
 from .sink import ExactlyOnceSink
 from .spec import StreamOpSpec
 from .watermark import MIN_TS
-from .operators import concat_nonempty, make_operator
+from .operators import combine_window_block, concat_nonempty, make_operator
 
 END_WM = 2**62
 
 
-def _do_split(source, key_column: str, num_partitions: int,
-              salted_keys: dict | None, columns: list | None = None,
-              combine: dict | None = None,
-              join_broadcast_side: int | None = None):
-    """Shuffle-map body: one input block (in-memory table or a parquet
-    fragment descriptor — read HERE, so ingest I/O scales with the
-    cluster) -> P hash shards.
-
-    With ``combine`` set ({"spec", "assigner", "ts_column", "wm_prev"}),
-    the block is folded map-side into per-(key, window) PARTIAL states
-    and only those (plus row/late accounting) ship — the raw value
-    payload (e.g. PCM bytes) never enters the object store.  This is
-    the streaming analog of map-side combine before a groupby."""
-    from .partitioning import load_epoch
-
+def _load_block(source, columns: list | None):
+    """One input block — an in-memory table, a block ref, or a parquet
+    fragment descriptor, read HERE, so ingest I/O scales with the
+    cluster — pruned to ``columns`` (plus ``__stream`` when present)."""
     cols = list(columns) + ["__stream"] if columns else None
     table = load_epoch(source, columns=cols)
     if columns:
@@ -81,47 +71,42 @@ def _do_split(source, key_column: str, num_partitions: int,
         if "__stream" in table.column_names:
             keep.append("__stream")
         table = table.select(keep)
-    if combine is not None:
-        from .operators import combine_window_block
-
-        payloads = combine_window_block(
-            table, combine["spec"], combine["assigner"],
-            combine["ts_column"], combine["wm_prev"], num_partitions,
-            capture_late=combine.get("capture_late", False))
-        if num_partitions == 1:
-            return payloads[0]
-        return tuple(payloads)
-    shards = split_by_partition(table, key_column, num_partitions,
-                                salted_keys=salted_keys,
-                                join_broadcast_side=join_broadcast_side)
-    if num_partitions == 1:
-        return shards[0]
-    return tuple(shards)
+    return table
 
 
 @ray.remote
-def _split_block(source, key_column, num_partitions, salted_keys,
-                 columns=None, combine=None, join_broadcast_side=None):
-    """Stateless task variant (kept for one-shot runs)."""
-    return _do_split(source, key_column, num_partitions, salted_keys,
-                     columns, combine, join_broadcast_side)
+def _split_block(source, num_partitions: int, columns: list | None, spec,
+                 assigner, ts_column: str, wm_prev: int, capture_late: bool):
+    """A window's shuffle-map body: one block -> P payloads of per-(key,
+    slice) PARTIAL states plus row/late accounting
+    (:func:`operators.combine_window_block`).  The raw value payload
+    (e.g. PCM bytes) never enters the object store — the streaming
+    analog of map-side combine before a groupby.  A stateless task: the
+    engine launches one per block on Ray's central queue (see
+    ``StreamEngine._split_epoch``)."""
+    payloads = combine_window_block(
+        _load_block(source, columns), spec, assigner, ts_column, wm_prev,
+        num_partitions, capture_late=capture_late)
+    return payloads[0] if num_partitions == 1 else tuple(payloads)
 
 
 @ray.remote(num_cpus=0)
 class SplitWorker:
-    """Long-lived shuffle-map worker.  Splits run on a persistent actor
-    pool rather than stateless tasks: Ray culls idle TASK workers beyond
-    the CPU soft limit, and respawning them (process fork + imports) in
-    the middle of a stream showed up as multi-second ingest stalls.
-    Long-lived map-side workers are also the production shape — the
-    reader processes of a streaming source are pinned, not ephemeral.
-    In combine mode this pool carries the operator's fold compute, so
-    the engine sizes it to the CPU count instead of the prefetch depth."""
+    """Long-lived shuffle-map worker for the operators that ship rows
+    (join, session): one block -> P hash shards.  Splits run on a
+    persistent actor pool rather than stateless tasks: Ray culls idle
+    TASK workers beyond the CPU soft limit, and respawning them (process
+    fork + imports) in the middle of a stream showed up as multi-second
+    ingest stalls.  Long-lived map-side workers are also the production
+    shape — the reader processes of a streaming source are pinned, not
+    ephemeral."""
 
     def split(self, source, key_column, num_partitions, salted_keys,
-              columns=None, combine=None, join_broadcast_side=None):
-        return _do_split(source, key_column, num_partitions, salted_keys,
-                         columns, combine, join_broadcast_side)
+              columns=None, join_broadcast_side=None):
+        shards = split_by_partition(_load_block(source, columns), key_column,
+                                    num_partitions, salted_keys=salted_keys,
+                                    join_broadcast_side=join_broadcast_side)
+        return shards[0] if num_partitions == 1 else tuple(shards)
 
 
 @ray.remote(num_cpus=0.25)
@@ -130,8 +115,7 @@ class PartitionWorker:
 
     def __init__(self, partition: int, op_kind: str, op_kwargs: dict,
                  sink_root: str | None, ckpt_root: str | None,
-                 partial_keys: frozenset = frozenset(),
-                 sink_durable: bool = True, track_keys: bool = False,
+                 sink_durable: bool = True,
                  late_root: str | None = None,
                  fail_at: dict | None = None):
         import time
@@ -140,40 +124,10 @@ class PartitionWorker:
         #: epoch) unless the marker file already records the kill
         self._fail_at = fail_at
         self.partition = partition
-        if op_kind == "window" and partial_keys:
-            op_kwargs = dict(op_kwargs, partial_keys=partial_keys)
         self.op_kind = op_kind
         self._op_kwargs = op_kwargs
-        self.op = make_operator(op_kind, **op_kwargs)
         self._sink_durable = sink_durable
-        self.sink = (ExactlyOnceSink(sink_root, partition, durable=sink_durable)
-                     if sink_root else None)
-        #: dead-letter side output: rows the watermark already closed out
-        #: are committed per epoch to a SECOND exactly-once sink — same
-        #: epoch-idempotent protocol, so crash/replay never duplicates or
-        #: loses a late row
-        self.late_sink = (ExactlyOnceSink(late_root, partition,
-                                          durable=sink_durable)
-                          if late_root else None)
-        if self.late_sink is not None and hasattr(self.op, "capture_late"):
-            self.op.capture_late = True
-        self.ckpt = CheckpointStore(ckpt_root, partition) if ckpt_root else None
-        self.max_offset = -1
-        self._pending: list[pa.Table] = []  # this epoch's emitted tables
-        self._ingest_s = 0.0
-        #: running per-key row counts (heavy-hitter detection feed): an
-        #: unsalted key's rows all land here, so this partition's count
-        #: IS the key's global count — no extra shuffle needed
-        self._track_keys = track_keys
-        self._key_counts: dict = {}
-
-    def set_partial_keys(self, keys: frozenset) -> None:
-        """Mid-stream re-salt: mark keys whose closed windows must ship
-        PARTIAL state for owner-side merge from now on (epochs already
-        in this actor's queue were enqueued first — FIFO actor order
-        makes the switch land exactly between epochs)."""
-        if hasattr(self.op, "partial_keys"):
-            self.op.partial_keys = frozenset(keys)
+        self.reset(sink_root, ckpt_root, late_root)
 
     def restore(self, epoch: int) -> int:
         d = self.ckpt.load(epoch)
@@ -192,12 +146,17 @@ class PartitionWorker:
 
     def reset(self, sink_root: str | None, ckpt_root: str | None,
               late_root: str | None = None) -> None:
-        """Fresh stream on the same (warm) process: rebuild operator state
-        and re-point sink/checkpoint roots."""
+        """Fresh stream: build operator state and point the sink,
+        dead-letter sink and checkpoint store at their roots (also run
+        on a warm process between streams)."""
         self.op = make_operator(self.op_kind, **self._op_kwargs)
         self.sink = (ExactlyOnceSink(sink_root, self.partition,
                                      durable=self._sink_durable)
                      if sink_root else None)
+        #: dead-letter side output: rows the watermark already closed out
+        #: are committed per epoch to a SECOND exactly-once sink — same
+        #: epoch-idempotent protocol, so crash/replay never duplicates or
+        #: loses a late row
         self.late_sink = (ExactlyOnceSink(late_root, self.partition,
                                           durable=self._sink_durable)
                           if late_root else None)
@@ -206,13 +165,17 @@ class PartitionWorker:
         self.ckpt = (CheckpointStore(ckpt_root, self.partition)
                      if ckpt_root else None)
         self.max_offset = -1
-        self._pending = []
-        self._key_counts = {}
 
-    def ingest_epoch(self, epoch: int, wm_prev: int, wm: int,
-                     shards: list) -> list[tuple]:
-        """Phase 1: fold shards, close windows; buffer finished rows and
-        return partial states (salted keys) for owner-side merge."""
+    def process_epoch(self, epoch: int, wm_prev: int, wm: int, shards: list,
+                      *, checkpoint: bool, collect: bool,
+                      commit: bool = True) -> dict:
+        """One epoch on this partition: merge partials or apply row
+        shards, close what ``wm`` passed, order the emitted table with
+        one Arrow sort, commit it idempotently, checkpoint.  Actor
+        message order keeps each partition's epochs in order, so the
+        driver pipelines epochs without a barrier.  The metrics row
+        carries the live state (``state_rows``, ``state_bytes``) after
+        the epoch."""
         if (self._fail_at is not None
                 and self.partition == self._fail_at["partition"]
                 and epoch == self._fail_at["epoch"]):
@@ -228,7 +191,7 @@ class PartitionWorker:
         # ray.get is zero-copy for Arrow tables in the local object store.
         if shards and isinstance(shards[0], ray.ObjectRef):
             shards = ray.get(list(shards))
-        self._wait_s = self._time.perf_counter() - t0
+        wait_s = self._time.perf_counter() - t0
         for shard in shards:
             if isinstance(shard, dict):
                 # map-side-combined payload: partial states + accounting
@@ -240,53 +203,11 @@ class PartitionWorker:
                 mo = pc.max(shard["offset"]).as_py()
                 if mo is not None and mo > self.max_offset:
                     self.max_offset = mo
-                if self._track_keys:
-                    kc = self.op.spec.key_column if hasattr(self.op, "spec") \
-                        else getattr(self.op, "key_column", None)
-                    if kc is not None:
-                        vc = pc.value_counts(shard[kc])
-                        for item in vc.to_pylist():
-                            k = item["values"]
-                            self._key_counts[k] = (self._key_counts.get(k, 0)
-                                                   + item["counts"])
                 self.op.apply(shard, wm_prev)
-        if hasattr(self.op, "on_watermark_split"):
-            rows, partials = self.op.on_watermark_split(wm)
-        else:
-            rows, partials = self.op.on_watermark(wm), []
-        self._pending.append(rows)
-        self._ingest_s = self._time.perf_counter() - t0
-        return partials
-
-    def process_epoch(self, epoch: int, wm_prev: int, wm: int, shards: list,
-                      *, checkpoint: bool, collect: bool,
-                      commit: bool = True) -> dict:
-        """Single-phase superstep (no salted keys): ingest + close +
-        commit in one actor call.  Lets the driver pipeline epochs —
-        actor message order guarantees per-partition epoch order, so no
-        driver barrier is needed between epochs."""
-        partials = self.ingest_epoch(epoch, wm_prev, wm, shards)
-        groups: dict = {}
-        for key, w_, s in partials:  # only non-empty if salting misused
-            groups.setdefault((key, w_), []).append(s)
-        return self.finalize_epoch(epoch, wm, groups, checkpoint=checkpoint,
-                                   collect=collect, commit=commit)
-
-    def finalize_epoch(self, epoch: int, wm: int, partial_groups: dict,
-                       *, checkpoint: bool, collect: bool,
-                       commit: bool = True) -> dict:
-        """Phase 2: merge partials owned by this partition, order the
-        epoch's emitted tables with one Arrow sort, commit them
-        idempotently, checkpoint.  The metrics row carries the live
-        state (``state_rows``, ``state_bytes``) after the epoch."""
-        t0 = self._time.perf_counter()
-        if partial_groups:
-            self._pending.append(self.op.merge_partials(partial_groups))
-        table = concat_nonempty(self._pending)
-        self._pending = []
+        table = self.op.on_watermark(wm)
         table = canonical_order(table) if table.num_rows else None
         t_commit = self._time.perf_counter()
-        elapsed = self._ingest_s + (t_commit - t0)
+        elapsed = t_commit - t0
         if self.sink is not None and commit:
             self.sink.commit(epoch, table, watermark=wm,
                              max_offset=self.max_offset, elapsed_s=elapsed)
@@ -309,12 +230,8 @@ class PartitionWorker:
                "rows_seen": self.op.rows_seen, "elapsed_s": elapsed,
                "commit_s": t_ckpt - t_commit,
                "ckpt_s": t_end - t_ckpt,
-               "wait_s": getattr(self, "_wait_s", 0.0),
+               "wait_s": wait_s,
                "state_rows": state_rows, "state_bytes": state_bytes}
-        if self._track_keys and self._key_counts:
-            import heapq as _hq
-            top = _hq.nlargest(8, self._key_counts.items(), key=lambda kv: kv[1])
-            out["key_counts"] = dict(top)
         if collect:
             out["emitted_rows"] = table
         return out
@@ -324,8 +241,8 @@ class StreamEngine:
     """Drives one operator over an epoch-framed stream.
 
     Parameters mirror a ``ray job submit`` job config: operator kind +
-    kwargs, partition count P, lateness, salted hot keys, sink /
-    checkpoint roots, checkpoint interval.
+    kwargs, partition count P, lateness, sink / checkpoint roots,
+    checkpoint interval, and a join's salted hot keys.
     """
 
     def __init__(self, op_kind: str, op_kwargs: dict, *, num_partitions: int = 8,
@@ -335,8 +252,6 @@ class StreamEngine:
                  salted_keys: dict[Any, int] | None = None,
                  shuffle_columns: list[str] | None = None,
                  sink_durable: bool = True,
-                 hot_key_config: dict | None = None,
-                 map_side_combine: bool | str = "auto",
                  join_broadcast_side: int = 1,
                  late_root: str | None = None,
                  max_recoveries: int = 2,
@@ -359,7 +274,7 @@ class StreamEngine:
                           else op_kwargs.get("key_column", "clip_id"))
         self.key_column = key_column
         self.actor_num_cpus = actor_num_cpus
-        #: unsalted epochs pipeline through the actors with this many
+        #: epochs pipeline through the actors with this many
         #: in-flight (bounded for backpressure); per-actor message order
         #: keeps per-partition epoch order correct
         self.pipeline_depth = 4
@@ -382,61 +297,26 @@ class StreamEngine:
         #: that epoch (the marker file makes the injection one-shot)
         self.failure_injection = failure_injection
         self.salted_keys = dict(salted_keys) if salted_keys else None
-        if self.op_kind not in ("window", "join") and self.salted_keys:
-            raise ValueError("salted_keys applies to the windowed aggregate "
-                             "(partial-state owner merge) and the symmetric "
-                             "join (salt-one-side / broadcast-the-other)")
+        if self.salted_keys and self.op_kind != "join":
+            raise ValueError(
+                "salted_keys applies to the symmetric join (salt one side, "
+                "broadcast the other); windows always combine map-side, "
+                "one partial per (block, slice), so a hot window key "
+                "needs no salting")
         #: symmetric-join skew shape: rows of a salted key on THIS
         #: ``__stream`` side replicate to every salt route; the other
         #: side's rows spread across the routes, so each pair meets on
-        #: exactly one partition (no owner merge, matches stay final and
-        #: the pipelined path applies).  Pick the lighter stream as the
-        #: broadcast side.  Static per run: joins must keep the same
-        #: salted_keys across resume (state co-location is routing-
-        #: determined), which is why runtime hot-key re-salting stays
-        #: window-only.
+        #: exactly one partition (no owner merge, matches stay final).
+        #: Pick the lighter stream as the broadcast side.  Static per
+        #: run: joins must keep the same salted_keys across resume
+        #: (state co-location is routing-determined).
         self.join_broadcast_side = (int(join_broadcast_side)
-                                    if self.op_kind == "join" and
-                                    self.salted_keys else None)
-        #: mid-stream heavy-hitter re-salting (the blog's skew finding,
-        #: blog/blog.md:84, detected at RUNTIME instead of an epoch-0
-        #: pre-scan): {"threshold_frac": f, "min_rows": n}.  Partition
-        #: actors feed running per-key counts through the epoch metrics;
-        #: a key crossing the threshold is added to salted_keys and the
-        #: actors switch it to partial-state mode between epochs.
-        if hot_key_config is not None and self.op_kind != "window":
-            raise ValueError("hot_key_config applies to the windowed aggregate")
-        self.hot_key_config = dict(hot_key_config) if hot_key_config else None
-        self._pkc: dict[int, dict] = {}    # partition -> {key: cum count}
-        self._last_rows: dict[int, int] = {}
-        self._cur_workers: list | None = None
-        #: map-side combine: fold per-(key, window) partials in the
-        #: split task and ship ONLY partials — legal exactly when salted
-        #: splitting is legal (semilattice merge over disjoint row
-        #: subsets).  "auto" turns it on for incremental tumbling/
-        #: sliding window specs, unless skew salting / runtime hot-key
-        #: detection is in play (combining already collapses a hot key
-        #: to <=1 partial per block, so those row-shipping modes are
-        #: kept as-is for their own tests).
-        assigner = op_kwargs.get("assigner")
-        combinable = (op_kind == "window" and isinstance(spec, StreamOpSpec)
-                      and spec.incremental
-                      and getattr(assigner, "kind", None) in ("tumbling",
-                                                              "sliding"))
-        if map_side_combine == "auto":
-            self.combine = (combinable and not self.salted_keys
-                            and not self.hot_key_config)
-        else:
-            self.combine = bool(map_side_combine)
-            if self.combine and not combinable:
-                raise ValueError("map_side_combine requires an incremental "
-                                 "tumbling/sliding window spec")
-            if self.combine and (self.salted_keys or self.hot_key_config):
-                raise ValueError("map_side_combine subsumes skew salting; "
-                                 "configure one or the other")
-        self._combine_info = ({"spec": spec, "assigner": assigner}
-                              if self.combine else None)
-        #: target rows per combine-mode split task (fold granularity)
+                                    if self.salted_keys else None)
+        #: map-side combine: every tumbling/sliding window folds
+        #: per-(key, slice) partials in the split task and ships ONLY
+        #: partials (a buffered spec's partial is its run buffer)
+        self.combine = op_kind == "window"
+        #: target rows per window fold task (fold granularity)
         self.combine_split_rows = 1000
         #: logical CPUs per combine fold task: fractional so the task
         #: count mildly oversubscribes the free cores (8-CPU node with
@@ -524,7 +404,7 @@ class StreamEngine:
             # same processes, state freshly reset via reset_state()
             workers = self._workers
         else:
-            # combine mode: the fold lives in the split tasks, so the
+            # a window's fold lives in the split tasks, so its
             # partition actors (merge partials + sink) need only a light
             # reservation — otherwise P idle actors would hold the CPUs
             # the fold tasks should be running on
@@ -533,20 +413,18 @@ class StreamEngine:
             workers = [
                 PartitionWorker.options(num_cpus=part_cpus)
                 .remote(p, self.op_kind, self.op_kwargs, self.sink_root,
-                        self.ckpt_root,
-                        frozenset(self.salted_keys) if self.salted_keys else frozenset(),
-                        self.sink_durable, self.hot_key_config is not None,
-                        self.late_root, self.failure_injection)
+                        self.ckpt_root, self.sink_durable, self.late_root,
+                        self.failure_injection)
                 for p in range(self.P)
             ]
             # zero-CPU actors: concurrency is bounded by the pool size, and
             # a zero logical footprint can never deadlock against the
-            # partition actors' reservations on a small node.  (Combine
-            # mode bypasses this pool — see _split_epoch.)
-            n_split = max(2, min(self.split_prefetch, self.P))
+            # partition actors' reservations on a small node.  A window
+            # folds in tasks instead (see _split_epoch) and needs no pool.
+            n_split = 0 if self.combine else max(2, min(self.split_prefetch,
+                                                        self.P))
             self._splitters = [SplitWorker.remote() for _ in range(n_split)]
             self._split_rr = 0
-        self._cur_workers = workers
         start_epoch = 0
         if self.ckpt_root and not reuse:
             from .reshard import (list_checkpoint_partitions,
@@ -611,42 +489,33 @@ class StreamEngine:
                 cp = commit_partitions if is_last else None
                 wm_prev = wm_sched[e - 1] if e > 0 else MIN_TS
                 # prefetch shuffle-map tasks ahead of the actor pipeline so
-                # actors never stall waiting for a split (combine mode:
-                # the splits ARE the compute, so prefetch at least the
-                # full split pool's width to keep every worker busy)
+                # actors never stall waiting for a split (a window's
+                # splits ARE the compute, so keep one epoch in flight per
+                # partition plus four)
                 prefetch = self.split_prefetch
                 if self.combine:
-                    prefetch = max(prefetch, len(self._splitters) + 4)
+                    prefetch = max(prefetch,
+                                   min(self.split_prefetch, self.P) + 4)
                 for ee in schedule[i:i + prefetch]:
                     if ee not in split_cache:
                         wp = wm_sched[ee - 1] if ee > 0 else MIN_TS
                         split_cache[ee] = self._split_epoch(
                             epochs[ee], wm_prev=wp, ts_column=ts_column)
-                per_part = split_cache.pop(e)
-                if self.salted_keys and self.op_kind == "window":
-                    # two-phase path needs a barrier to route partials
-                    # (join matches are final at their salt partition —
-                    # salted joins stay on the pipelined path below)
-                    drain(0)
-                    self._superstep(e, per_part, wm_prev, wm_sched[e],
-                                    workers, collect, per_epoch_emitted,
-                                    metrics, cp)
-                else:
-                    # pipelined path: per-actor message order already
-                    # serializes epochs per partition; keep a bounded
-                    # in-flight window for backpressure
-                    futs = self._launch_epoch(e, per_part, wm_prev,
-                                              wm_sched[e], workers, collect, cp)
-                    inflight.append((e, futs))
-                    drain(self.pipeline_depth)
-            drain(0)
+                # per-actor message order serializes epochs per
+                # partition; keep a bounded in-flight window for
+                # backpressure
+                inflight.append((e, self._launch_epoch(
+                    e, split_cache.pop(e), wm_prev, wm_sched[e], workers,
+                    collect, cp)))
+                drain(self.pipeline_depth)
             if final_flush and stop_after_epoch is None:
                 # end-of-stream: watermark -> +inf closes every open window
                 # (the fixpoint-termination analog: the frontier empties)
                 wm_last = wm_sched[-1] if wm_sched else MIN_TS
-                self._superstep(len(epochs), self._split_epoch(None), wm_last,
-                                END_WM, workers, collect, per_epoch_emitted,
-                                metrics, None)
+                inflight.append((len(epochs), self._launch_epoch(
+                    len(epochs), self._split_epoch(None), wm_last, END_WM,
+                    workers, collect, None)))
+            drain(0)
         finally:
             if self.keep_workers:
                 self._workers = workers
@@ -685,8 +554,8 @@ class StreamEngine:
         if source is None:
             return per_part
         if isinstance(source, dict):
-            # fragment: the split worker reads it itself.  In combine
-            # mode the split task IS the fold, so one task per fragment
+            # fragment: the split worker reads it itself.  For a window
+            # the split task IS the fold, so one task per fragment
             # caps intra-epoch parallelism at 1 — fan the fragment into
             # row-group-range sub-tasks (~combine_split_rows rows each;
             # the pruned read loads only those row groups' column
@@ -704,33 +573,28 @@ class StreamEngine:
             return per_part
         else:
             blocks = self._blocks(source)
-        combine = (dict(self._combine_info, ts_column=ts_column,
-                        wm_prev=wm_prev,
-                        capture_late=self.late_root is not None)
-                   if self._combine_info is not None else None)
         nr = 1 if self.P == 1 else self.P
         split_refs = []
         for b in blocks:
-            if combine is not None:
-                # combine fold = real compute: a stateless num_cpus=1
-                # task on the CENTRAL queue, so Ray load-balances across
+            if self.combine:
+                # the window's fold = real compute: a stateless task on
+                # the CENTRAL queue, so Ray load-balances across
                 # whatever cores the light partition reservations leave
                 # free — round-robin over a fixed actor pool would pin
                 # variable-duration folds to queues and create stragglers
                 split_refs.append(
                     _split_block.options(num_cpus=self.combine_task_cpus,
                                          num_returns=nr)
-                    .remote(b, self.key_column, self.P, self.salted_keys,
-                            self.shuffle_columns, combine,
-                            self.join_broadcast_side))
+                    .remote(b, self.P, self.shuffle_columns,
+                            self.op_kwargs["spec"], self.op_kwargs["assigner"],
+                            ts_column, wm_prev, self.late_root is not None))
                 continue
             s = self._splitters[self._split_rr % len(self._splitters)]
             self._split_rr += 1
             split_refs.append(
                 s.split.options(num_returns=nr)
                 .remote(b, self.key_column, self.P, self.salted_keys,
-                        self.shuffle_columns, combine,
-                        self.join_broadcast_side))
+                        self.shuffle_columns, self.join_broadcast_side))
         for refs in split_refs:
             if self.P == 1:
                 per_part[0].append(refs)
@@ -751,66 +615,12 @@ class StreamEngine:
         return futs
 
     def _absorb(self, results, collect, per_epoch_emitted, metrics) -> None:
-        metrics.extend({k: v for k, v in r.items()
-                        if k not in ("emitted_rows", "key_counts")}
+        metrics.extend({k: v for k, v in r.items() if k != "emitted_rows"}
                        for r in results)
-        if self.hot_key_config:
-            for r in results:
-                if "key_counts" in r:
-                    self._pkc[r["partition"]] = r["key_counts"]
-                self._last_rows[r["partition"]] = r.get("rows_seen", 0)
-            self._maybe_resalt()
         if collect:
             table = concat_nonempty([r["emitted_rows"] for r in results
                                     if r.get("emitted_rows") is not None])
             per_epoch_emitted.append(canonical_order(table).to_pylist())
-
-    def _maybe_resalt(self) -> None:
-        """Promote runtime heavy hitters to salted keys between epochs.
-        Routing of already-split epochs stays valid (unsalted routes send
-        the key's rows to its owner, which then ships partial state to
-        itself), so no prefetched split is invalidated."""
-        cfg = self.hot_key_config
-        total = sum(self._last_rows.values())
-        if total < cfg.get("min_rows", 2000) or self._cur_workers is None:
-            return
-        thresh = cfg.get("threshold_frac", 0.15)
-        current = self.salted_keys or {}
-        new = {}
-        for counts in self._pkc.values():
-            for k, c in counts.items():
-                frac = c / total
-                if frac > thresh and k not in current:
-                    new[k] = int(min(self.P, max(2, round(frac * self.P * 2))))
-        if new:
-            self.salted_keys = {**current, **new}
-            ray.get([w.set_partial_keys.remote(frozenset(self.salted_keys))
-                     for w in self._cur_workers])
-
-    def _superstep(self, e: int, per_part: list[list], wm_prev: int, wm: int,
-                   workers, collect, per_epoch_emitted, metrics,
-                   commit_partitions) -> None:
-        """Barrier superstep (salted path): ingest -> route partials to
-        owners -> finalize."""
-        # phase 1: ingest + close; collect partial states of salted keys
-        partials_nested = ray.get([
-            w.ingest_epoch.remote(e, wm_prev, wm, per_part[p])
-            for p, w in enumerate(workers)])
-        # route partials to the OWNER partition (unsalted hash)
-        owner_groups: list[dict] = [{} for _ in range(self.P)]
-        for plist in partials_nested:
-            for key, w_, state in plist:
-                owner = int(partition_ids([key], self.P)[0])
-                owner_groups[owner].setdefault((key, w_), []).append(state)
-        # phase 2: merge + commit + checkpoint
-        futs = []
-        for p, w in enumerate(workers):
-            commit = True if commit_partitions is None else (p in commit_partitions)
-            futs.append(w.finalize_epoch.remote(
-                e, wm, owner_groups[p],
-                checkpoint=(e % self.ckpt_interval == self.ckpt_interval - 1),
-                collect=collect, commit=commit))
-        self._absorb(ray.get(futs), collect, per_epoch_emitted, metrics)
 
     @staticmethod
     def _blocks(table: pa.Table, target_rows: int = 8192) -> list[pa.Table]:

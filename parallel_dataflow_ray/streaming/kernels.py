@@ -536,8 +536,8 @@ class QuantileHist(StreamOpSpec):
     engine folding epoch batches can never bit-match a row-at-a-time
     oracle.  Bucket COUNTS are pure multiset algebra — commutative,
     associative, granularity-invariant — so the sketch is bit-exact
-    under any partitioning, batching, map-side combine, salting, or
-    replay, and the strict differential matrix applies unchanged.
+    under any partitioning, batching, map-side combine or replay, and
+    the strict differential matrix applies unchanged.
     State is O(#distinct buckets) = O(log(vmax/vmin)/α) regardless of
     row count — the scale path for continuous domains (the batch KLL
     stage remains for driver-side mergeable artifacts)."""
@@ -703,7 +703,7 @@ class VocabSketch(StreamOpSpec):
     AND idempotent — re-ingesting the very same row cannot move any
     register — so this kernel exhibits the reference's replay-safety
     argument (``blog/blog.md:91-103``) in its purest form: arbitrary
-    fold granularity, partial merges, salting and replays are all
+    fold granularity, partial merges and replays are all
     bit-exact, which is why the strict differential matrix applies to
     an *approximate* aggregate.  The estimate is computed once in
     ``finish`` from the fully-merged registers."""

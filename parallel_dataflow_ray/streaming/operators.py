@@ -147,16 +147,17 @@ def _window_runs(table: pa.Table, spec, assigner, ts_column: str,
 def combine_window_block(table: pa.Table, spec, assigner, ts_column: str,
                          wm_prev: int, num_partitions: int,
                          capture_late: bool = False) -> list[dict]:
-    """Map-side combiner (shuffle-map body in combine mode): fold one
-    input block's rows into per-(key, slice) PARTIAL states and route
-    them by key hash, so only partials — not raw rows/payload bytes —
-    enter the object store.  Legal exactly when salted-key splitting is
-    legal: ``spec.merge`` over states built from disjoint row subsets
-    (the semilattice contract, spec.py).  Returns one payload dict per
-    partition: ``{"partials": [(key, slice, state)], "rows": routed
-    row count (late included), "late": routed late count,
-    "max_offset": max routed offset or -1}`` — the same per-partition
-    accounting the row-shipping split produces."""
+    """Map-side combiner, the shuffle-map body of every tumbling and
+    sliding window: fold one input block's rows into per-(key, slice)
+    PARTIAL states and route them by key hash, so only partials — not
+    raw rows/payload bytes — enter the object store.  Each block acts as
+    a salt: a hot key costs its owner at most one partial per (block,
+    slice), merged by :func:`merge_states` over disjoint row subsets (the
+    semilattice contract, spec.py; a buffered spec's partial is its run
+    buffer).  Returns one payload dict per partition: ``{"partials":
+    [(key, slice, state)], "rows": routed row count (late included),
+    "late": routed late count, "max_offset": max routed offset or -1}``,
+    plus ``"late_tbl"`` (the late rows) when ``capture_late`` is set."""
     from .partitioning import partition_ids
 
     sorted_tbl, runs, kcodes, kuniq, late = _window_runs(
@@ -186,8 +187,7 @@ def combine_window_block(table: pa.Table, spec, assigner, ts_column: str,
                 if sel.size:
                     payloads[p]["late_tbl"] = table.take(pa.array(sel))
     for kc, w, s, e in runs:
-        state = spec.update_table(spec.initial_state(),
-                                  sorted_tbl.slice(s, e - s))
+        state = _fold_run(spec, _empty_state(spec), sorted_tbl.slice(s, e - s))
         payloads[int(upids[kc])]["partials"].append((kuniq[kc], w, state))
     return payloads
 
@@ -195,17 +195,11 @@ def combine_window_block(table: pa.Table, spec, assigner, ts_column: str,
 class WindowedAggregateOp:
     """Tumbling/sliding windowed aggregate over a ``StreamOpSpec``."""
 
-    def __init__(self, spec: StreamOpSpec, assigner, ts_column: str = "event_ts",
-                 partial_keys: frozenset = frozenset()):
+    def __init__(self, spec: StreamOpSpec, assigner, ts_column: str = "event_ts"):
         assert assigner.kind in ("tumbling", "sliding")
         self.spec = spec
         self.assigner = assigner
         self.ts_column = ts_column
-        #: salted hot keys: this partition holds only a PARTIAL state for
-        #: them; at window close it emits the state for owner-side merge
-        #: instead of finishing locally (skew splitting, SURVEY §4 —
-        #: valid because ``spec.merge`` is a semilattice combine)
-        self.partial_keys = frozenset(partial_keys)
         self.states: dict[tuple, Any] = {}  # (key, slice_start) -> state | [run, ...]
         #: windows ending at or before this watermark are closed
         self.wm = MIN_TS
@@ -222,7 +216,9 @@ class WindowedAggregateOp:
         """Ingest one epoch: numpy grouping by (key, slice), then one
         Arrow run per group into its slice state — each row is folded
         once, whatever the windows' overlap.  ``wm_prev`` is the
-        watermark of the last :meth:`on_watermark_split`."""
+        watermark of the last :meth:`on_watermark`.  The engine folds on
+        the map side (:func:`combine_window_block`); this is the
+        single-process path of the oracle and the trace replay."""
         if table.num_rows == 0:
             return
         spec = self.spec
@@ -239,11 +235,11 @@ class WindowedAggregateOp:
 
     def ingest_partials(self, payload: dict) -> None:
         """Map-side-combined ingest: merge per-(key, slice) partial
-        states produced by :func:`combine_window_block` (the same
-        ``spec.merge`` the salted-key owner path relies on), plus the
-        block's routed row/late accounting.  A partial's newest window
-        can never already be closed here: the split evaluated lateness
-        with this epoch's ``wm_prev``, and watermarks are monotone."""
+        states produced by :func:`combine_window_block` with
+        :func:`merge_states`, plus the block's routed row/late
+        accounting.  A partial's newest window can never already be
+        closed here: the split evaluated lateness with this epoch's
+        ``wm_prev``, and watermarks are monotone."""
         self.rows_seen += payload["rows"]
         self.late_rows += payload["late"]
         lt = payload.get("late_tbl")
@@ -252,24 +248,14 @@ class WindowedAggregateOp:
         spec = self.spec
         for key, (a, _), state in payload["partials"]:
             kw = (key, a)
-            self.states[kw] = (spec.merge(self.states[kw], state)
+            self.states[kw] = (merge_states(spec, self.states[kw], state)
                                if kw in self.states else state)
 
     def on_watermark(self, wm: int) -> pa.Table:
-        rows, partials = self.on_watermark_split(wm)
-        if partials:  # single-process path (oracle): merge locally
-            groups: dict[tuple, list] = {}
-            for key, w, s in partials:
-                groups.setdefault((key, w), []).append(s)
-            rows = concat_nonempty([rows, self.merge_partials(groups)])
-        return rows
-
-    def on_watermark_split(self, wm: int) -> tuple[pa.Table, list[tuple]]:
         """Close windows ending in ``(self.wm, wm]``, each merged from
         its slices into a FRESH state (later windows still read the
-        slices; some ``merge`` laws mutate their first argument).  Returns
-        (finished rows as a table, salted keys' partials: [(key, window,
-        state)])."""
+        slices; some ``merge`` laws mutate their first argument), and
+        return their finished rows as one table."""
         size, slide = self.assigner.size_us, self.assigner.slide_us
         g = math.gcd(size, slide)
         lo = (self.wm - size) // slide * slide + slide  # first start to close
@@ -284,37 +270,15 @@ class WindowedAggregateOp:
                 windows.setdefault((s, key), []).append(a)
         spec = self.spec
         out: list[dict] = []
-        partials: list[tuple] = []
         for (s, key), starts in sorted(windows.items()):
-            w = (s, s + size)
             state = reduce(lambda acc, a: merge_states(
                 spec, acc, self.states[(key, a)]), sorted(starts),
                 _empty_state(spec))
-            if key in self.partial_keys:
-                # ship the raw partial (run buffer for non-incremental
-                # specs — the owner folds the UNION in full event order)
-                partials.append((key, w, state))
-                continue
-            row = spec.finish(key, w, _close_state(spec, state))
+            row = spec.finish(key, (s, s + size), _close_state(spec, state))
             if row is not None:
                 out.append(row)
         self.states = {ka: st for ka, st in self.states.items()
                        if ka[1] // slide * slide + size > wm}
-        return pa.Table.from_pylist(out), partials
-
-    def merge_partials(self, groups: dict[tuple, list[Any]]) -> pa.Table:
-        """Owner-side merge of salted partial states: {(key, window):
-        [state, ...]} -> finished rows as a table.  For buffered
-        (non-incremental) specs the partials arrive as run buffers and
-        are folded here in full event order."""
-        spec = self.spec
-        out = []
-        for (key, w), states in sorted(groups.items(),
-                                       key=lambda kv: (kv[0][1], str(kv[0][0]))):
-            merged = reduce(lambda a, b: merge_states(spec, a, b), states)
-            row = spec.finish(key, w, _close_state(spec, merged))
-            if row is not None:
-                out.append(row)
         return pa.Table.from_pylist(out)
 
     def take_late(self) -> pa.Table | None:

@@ -52,21 +52,17 @@ def split_by_partition(table: pa.Table, key_column: str, num_partitions: int,
                        ) -> list[pa.Table]:
     """One pass split of an Arrow table into P sub-tables by key hash.
 
-    This is the map side of the engine's shuffle; it runs as a stateless
-    Ray task per input block (see ``engine._split_block``).
+    This is the map side of the engine's shuffle for the operators that
+    ship rows (join, session); it runs on the engine's ``SplitWorker``
+    pool, one call per input block.
 
-    ``salted_keys = {key: n_salts}`` spreads a hot key's rows over
-    ``n_salts`` deterministic sub-routes (salt = offset % n) so no single
-    partition bears the whole key — the skew mitigation the reference
-    lacked (``blog/blog.md:84``).  For the windowed aggregate the
-    partition actor then emits PARTIAL state for these keys; the owner
-    merges (semilattice-safe).
-
-    ``join_broadcast_side`` switches to the symmetric-join skew shape
-    (the classic partial-replication / Flow-Join decomposition): rows of
-    a hot key whose ``__stream`` equals this side are REPLICATED to all
-    ``n_salts`` routes, while the other (salt) side's rows spread across
-    the routes by offset.  Every (salt-row, broadcast-row) pair of the
+    ``salted_keys = {key: n_salts}`` with ``join_broadcast_side`` is the
+    symmetric-join skew shape (the classic partial-replication /
+    Flow-Join decomposition), the mitigation the reference lacked
+    (``blog/blog.md:84``): rows of a hot key whose ``__stream`` equals
+    this side are REPLICATED to all ``n_salts`` routes, while the other
+    (salt) side's rows spread across the routes by offset (salt =
+    offset % n).  Every (salt-row, broadcast-row) pair of the
     key meets on exactly one partition — the salt row's — so the match
     set is complete and duplicate-free with no owner merge.  Replicated
     copies share their offset; per-partition offset dedup absorbs route
@@ -86,9 +82,11 @@ def split_by_partition(table: pa.Table, key_column: str, num_partitions: int,
     extra_idx: list[np.ndarray] = []
     extra_pids: list[np.ndarray] = []
     if salted_keys:
+        if join_broadcast_side is None:
+            raise ValueError("a salted split needs join_broadcast_side: "
+                             "salting is the symmetric join's skew shape")
         offsets = table["offset"].to_numpy(zero_copy_only=False)
-        stream = (table["__stream"].to_numpy(zero_copy_only=False)
-                  if join_broadcast_side is not None else None)
+        stream = table["__stream"].to_numpy(zero_copy_only=False)
         uniq_pos = {k: i for i, k in enumerate(uniq)}
         for k, n in salted_keys.items():
             if k not in uniq_pos:
@@ -97,10 +95,6 @@ def split_by_partition(table: pa.Table, key_column: str, num_partitions: int,
             if not mask.any():
                 continue
             routes = _salt_routes(k, n, num_partitions)
-            if join_broadcast_side is None:
-                salt = (offsets[mask] % n).astype(np.int64)
-                pids[mask] = routes[salt]
-                continue
             m_salt = mask & (stream != join_broadcast_side)
             if m_salt.any():
                 salt = (offsets[m_salt] % n).astype(np.int64)

@@ -14,7 +14,7 @@ rescaling, rebuilt on this engine's own primitives:
   whatever lands together.
 - merges reuse the operators' OWN combine laws (``merge_states``:
   ``spec.merge`` or the union of run buffers; ``_insert_interval``) —
-  the same semilattice argument that makes salted-key owner merges and
+  the same semilattice argument that makes map-side partial merges and
   replay exact (reference analog: worklist-order independence,
   blog/blog.md:91-103).
 - exactly-once across the rescale: output for epochs AFTER the
@@ -62,8 +62,9 @@ def _reshard_window(snaps: list[dict], new_p: int, op) -> list[dict]:
         for ks, pid in zip(kss, _route([k for k, _ in kss], new_p)):
             st = d["states"][ks]
             tgt = states[pid]
-            # two old partitions held this (key, slice) — salted
-            # partials; combine with the operator's own merge law
+            # a key lived on one old partition, so entries are
+            # disjoint; should two ever meet, combine them with the
+            # operator's own merge law rather than drop one
             tgt[ks] = merge_states(spec, tgt[ks], st) if ks in tgt else st
     # every partition checkpointed the same epoch, so the same closed
     # watermark: windows closed before the checkpoint stay closed

@@ -110,7 +110,7 @@ class CompositeSpec(StreamOpSpec):
     exactly the rows it would have seen alone and the whole bundle
     pays ONE scan + ONE hash shuffle.  The semilattice laws hold
     componentwise, so everything built on them (partial+final merge,
-    salting, map-side combine, replay idempotence) transfers.
+    map-side combine, replay idempotence) transfers.
 
     Contracts: all sub-specs must share ``key_column`` and forward
     order.  ``incremental`` is the AND of the subs (a buffered sub

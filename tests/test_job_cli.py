@@ -45,20 +45,6 @@ def test_job_adaptive_partitions_small_input(tmp_path, ray_session):
     assert summary["partitions"] == 1  # tiny stream -> inline, no fan-out
 
 
-def test_job_salting_flag(tmp_path, ray_session):
-    d = tmp_path / "frags"
-    d.mkdir()
-    t = fixtures.clips_table(600, seed=42, skew=0.5, n_speakers=4)
-    pq.write_table(t.slice(0, 300), str(d / "frag-0000.parquet"))
-    pq.write_table(t.slice(300, 300), str(d / "frag-0001.parquet"))
-    summary = job.main([
-        "--kernel", "clip_stats", "--input", str(d), "--partitions", "4",
-        "--window-ms", "2000", "--salt-hot-keys",
-    ])
-    assert "spk-0000" in summary["salted_keys"]
-    assert summary["emitted"] > 0
-
-
 def test_canonicalizer_stage(ray_session):
     import ray.data as rd
 

@@ -6,8 +6,8 @@ mean ROUTED, not lost: the engine commits late rows per epoch to a
 second exactly-once sink so they can be audited or re-driven.  Ground
 truth is the sequential oracle running the same operator with
 ``capture_late=True``; the invariant is the late row MULTISET (by
-offset), identical across the row path, the vectorized path, map-side
-combine mode, session windows, and kill/resume replay.
+offset), identical for incremental and buffered window specs (both
+folded map-side), session windows, and kill/resume replay.
 """
 
 from __future__ import annotations
@@ -55,11 +55,11 @@ def _oracle_late(op_kind: str, kw: dict) -> tuple[list[dict], list[int]]:
     return rows, late
 
 
-def _engine_late(op_kind: str, kw: dict, tmp_path, **engine_kw) -> tuple[list[dict], list[int]]:
+def _engine_late(op_kind: str, kw: dict, tmp_path) -> tuple[list[dict], list[int]]:
     eng = StreamEngine(op_kind, dict(kw), num_partitions=4,
                        allowed_lateness_us=LATENESS_US,
                        sink_root=str(tmp_path / "sink"),
-                       late_root=str(tmp_path / "late"), **engine_kw)
+                       late_root=str(tmp_path / "late"))
     eng.run(epochs_from_table(_table(), EPOCH_ROWS))
     main = ExactlyOnceSink.read_all(str(tmp_path / "sink"))
     late = ExactlyOnceSink.read_all(str(tmp_path / "late"))
@@ -67,17 +67,14 @@ def _engine_late(op_kind: str, kw: dict, tmp_path, **engine_kw) -> tuple[list[di
     return rows, _offsets(late)
 
 
-@pytest.mark.parametrize("kernel,mode", [
-    ("clip_stats", "vectorized"),      # incremental fast path
-    ("codec_funnel", "row"),           # buffered row path
-    ("clip_stats", "combine"),         # map-side combine payloads
+@pytest.mark.parametrize("kernel", [
+    "clip_stats",       # incremental: folded partial states
+    "codec_funnel",     # buffered: run-buffer partials
 ])
-def test_late_sink_matches_oracle(tmp_path, kernel, mode):
+def test_late_sink_matches_oracle(tmp_path, kernel):
     kw = {"spec": KERNELS[kernel](), "assigner": WIN}
     oracle_rows, oracle_late = _oracle_late("window", kw)
-    extra = {"map_side_combine": True} if mode == "combine" else \
-        {"map_side_combine": False}
-    engine_rows, engine_late = _engine_late("window", kw, tmp_path, **extra)
+    engine_rows, engine_late = _engine_late("window", kw, tmp_path)
     assert engine_late == oracle_late
     from parallel_dataflow_ray.streaming.oracle import canonical_sort
     assert canonical_sort(engine_rows) == canonical_sort(oracle_rows)

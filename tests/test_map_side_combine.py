@@ -1,15 +1,17 @@
 """Map-side combine parity (shuffle ships partials, not payload rows).
 
-The combine mode folds each split block into per-(key, window) partial
-states inside the shuffle-map task, so raw rows — including audio
-``bytes`` — never enter the object store.  It is legal exactly when
-salted-key splitting is legal (``spec.merge`` over disjoint row
-subsets, the semilattice contract of spec.py).  These tests pin:
+Every tumbling and sliding window folds each split block into
+per-(key, slice) partial states inside the shuffle-map task, so raw
+rows — including audio ``bytes`` — never enter the object store.  It is
+legal because ``merge_states`` combines states built from disjoint row
+subsets (the semilattice contract of spec.py; a buffered spec's partial
+is its run buffer, deduped and ordered at close).  These tests pin:
 
-* emitted-row parity combine vs row path vs sequential oracle, for
-  tumbling AND sliding panes, in-order AND out-of-order input, P∈{1,3};
+* emitted-row parity engine vs sequential oracle for incremental AND
+  buffered specs, tumbling AND sliding windows, in-order AND
+  out-of-order input, P∈{1,3};
 * metrics parity (rows_seen / late_rows sums match the oracle's);
-* forced-mode validation errors (non-combinable spec, combine+salting).
+* the window refuses ``salted_keys`` (it has no salted path).
 """
 
 from __future__ import annotations
@@ -35,11 +37,10 @@ def _epochs(ooo: bool):
     return epochs_from_table(t, EPOCH_ROWS)
 
 
-def _run(op_kwargs, epochs, *, combine, P):
+def _run(op_kwargs, epochs, *, P):
     eng = StreamEngine("window", dict(op_kwargs), num_partitions=P,
-                       allowed_lateness_us=LATENESS_US,
-                       map_side_combine=combine)
-    assert eng.combine is bool(combine)
+                       allowed_lateness_us=LATENESS_US)
+    assert eng.combine
     res = eng.run(epochs, collect=True)
     rows = canonical_sort([r for ep in res["emitted"] for r in ep])
     last = max(m["epoch"] for m in res["metrics"])
@@ -50,7 +51,10 @@ def _run(op_kwargs, epochs, *, combine, P):
 
 @pytest.mark.parametrize("spec_name", ["audio_energy", "clip_stats",
                                        "top_words", "quantile_hist",
-                                       "clip_profile", "vocab_sketch"])
+                                       "clip_profile", "vocab_sketch",
+                                       # buffered: run-buffer partials
+                                       "reverse_live_words", "codec_funnel",
+                                       "codec_kleene"])
 @pytest.mark.parametrize("ooo", [False, True], ids=["inorder", "ooo"])
 @pytest.mark.parametrize("win", [TumblingWindows(1_000_000),
                                  SlidingWindows(3_000_000, 2_000_000)],
@@ -61,17 +65,16 @@ def test_combine_parity(spec_name, ooo, win):
     oracle_rows, om = OracleExecutor("window", dict(kw), LATENESS_US).run(epochs)
     oracle_rows = canonical_sort(oracle_rows)
     for P in (1, 3):
-        c_rows, c_m = _run(kw, epochs, combine=True, P=P)
-        r_rows, r_m = _run(kw, epochs, combine=False, P=P)
-        assert c_rows == oracle_rows
-        assert r_rows == oracle_rows
-        assert c_m == r_m == (om["rows_seen"], om["late_rows"])
+        rows, m = _run(kw, epochs, P=P)
+        assert rows == oracle_rows
+        assert m == (om["rows_seen"], om["late_rows"])
 
 
 def test_combine_fragment_rowgroup_fanout(tmp_path):
-    """Parquet-fragment epochs with multiple row groups: combine mode
-    fans each fragment into row-group-range sub-tasks (pruned reads).
-    Output and accounting must match the in-memory row path exactly."""
+    """Parquet-fragment epochs with multiple row groups: the window
+    fans each fragment into row-group-range fold tasks (pruned reads).
+    Output and accounting must match the oracle over the in-memory
+    epochs exactly."""
     import pyarrow.parquet as pq
 
     from parallel_dataflow_ray.streaming.partitioning import parquet_epochs
@@ -92,33 +95,16 @@ def test_combine_fragment_rowgroup_fanout(tmp_path):
     mem_epochs = epochs_from_table(t, EPOCH_ROWS)
     oracle_rows, om = OracleExecutor("window", dict(kw),
                                      LATENESS_US).run(mem_epochs)
-    rows, m = _run(kw, frag_epochs, combine=True, P=3)
+    rows, m = _run(kw, frag_epochs, P=3)
     assert rows == canonical_sort(oracle_rows)
     assert m == (om["rows_seen"], om["late_rows"])
 
 
-def test_combine_auto_defaults():
-    win = TumblingWindows(1_000_000)
-    on = StreamEngine("window", {"spec": KERNELS["audio_energy"](),
-                                 "assigner": win})
-    assert on.combine
-    # non-incremental (backward/buffered) spec: auto stays off
-    off = StreamEngine("window", {"spec": KERNELS["reverse_live_words"](),
-                                  "assigner": win})
-    assert not off.combine
-    # salting keeps the row path (its own partial-routing protocol)
-    salted = StreamEngine("window", {"spec": KERNELS["audio_energy"](),
-                                     "assigner": win},
-                          salted_keys={"spk-0": 3})
-    assert not salted.combine
-
-
-def test_combine_forced_validation():
-    win = TumblingWindows(1_000_000)
-    with pytest.raises(ValueError, match="incremental"):
-        StreamEngine("window", {"spec": KERNELS["reverse_live_words"](),
-                                "assigner": win}, map_side_combine=True)
-    with pytest.raises(ValueError, match="salting"):
+def test_window_salted_keys_refused():
+    """Salting is the join's skew shape; a window's blocks already cap a
+    hot key at one partial per (block, slice), so the option is refused
+    rather than silently ignored."""
+    with pytest.raises(ValueError, match="windows always combine map-side"):
         StreamEngine("window", {"spec": KERNELS["audio_energy"](),
-                                "assigner": win},
-                     salted_keys={"spk-0": 3}, map_side_combine=True)
+                                "assigner": TumblingWindows(1_000_000)},
+                     salted_keys={"spk-0": 3})

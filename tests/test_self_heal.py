@@ -1,7 +1,7 @@
 """Self-healing runs (engine.run recovery loop).
 
 A partition actor lost mid-run (simulated by a one-shot hard exit
-injected into `ingest_epoch`) must not fail the job: the engine
+injected into `process_epoch`) must not fail the job: the engine
 re-enters the run body, restores from the last complete checkpoint,
 replays forward, and the epoch-idempotent sink absorbs re-emissions —
 the sink ends bit-identical to the oracle, same bar as the kill/resume

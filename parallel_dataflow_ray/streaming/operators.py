@@ -29,6 +29,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .checkpoint import ChunkedSnapshot
 from .spec import StreamOpSpec
 from .watermark import MIN_TS
 from .windows import SessionWindows
@@ -100,15 +101,15 @@ def _close_state(spec, state):
 
 
 def _key_codes(table: pa.Table, key_column: str):
-    """Factorize a key column.  Null keys are refused: pandas codes them
-    -1, which would index (and fold into) the last real key."""
-    import pandas as pd
+    """Factorize a key column (:func:`partitioning.dictionary_codes`).
+    Null and NaN keys are refused: they have no code to fold into."""
+    from .partitioning import dictionary_codes
 
-    codes, uniq = pd.factorize(
-        np.asarray(table[key_column].to_pylist(), dtype=object))
-    if (codes < 0).any():
+    col = table[key_column]
+    if col.null_count or (pa.types.is_floating(col.type)
+                          and pc.any(pc.is_nan(col)).as_py()):
         raise ValueError(f"null value in key column {key_column!r}")
-    return codes, uniq
+    return dictionary_codes(col)
 
 
 def _window_runs(table: pa.Table, spec, assigner, ts_column: str,
@@ -162,7 +163,7 @@ def combine_window_block(table: pa.Table, spec, assigner, ts_column: str,
 
     sorted_tbl, runs, kcodes, kuniq, late = _window_runs(
         table, spec, assigner, ts_column, wm_prev)
-    upids = (partition_ids(list(kuniq), num_partitions)
+    upids = (partition_ids(kuniq, num_partitions)
              if len(kuniq) else np.empty(0, np.int64))
     payloads = [{"partials": [], "rows": 0, "late": 0, "max_offset": -1}
                 for _ in range(num_partitions)]
@@ -418,33 +419,44 @@ class SessionAggregateOp:
             d["sessions"], d["late_rows"], d["rows_seen"])
 
 
-def _take_ascending(table: pa.Table, idx: np.ndarray) -> pa.Table:
-    """``table.take(idx)`` for ascending ``idx``, one ``take`` per record
-    batch: Arrow's ``take`` on a multi-chunk column concatenates every
-    chunk first, which would copy a whole join store's payload for the
-    few rows a probe emits."""
-    batches = table.to_batches()
-    if len(batches) <= 1:
-        return table.take(pa.array(idx))
-    ends = np.cumsum([b.num_rows for b in batches])
-    cuts = np.searchsorted(idx, ends)
-    parts = [b.take(pa.array(idx[lo:hi] - (end - b.num_rows)))
-             for b, lo, hi, end in zip(batches, np.r_[0, cuts[:-1]], cuts, ends)
-             if hi > lo]
-    return pa.Table.from_batches(parts, schema=table.schema)
+class _Chunk:
+    """The rows one ``apply`` stored on one side of the join, copied out
+    of the input, with their ``event_ts`` and ``offset`` as numpy arrays
+    and the Python value of each row's key.  ``cut`` is the eviction
+    bound last applied to the chunk: rows with ``event_ts < cut`` are
+    gone."""
+
+    __slots__ = ("table", "ts", "offsets", "keys", "cut")
+
+    def __init__(self, table: pa.Table, key_column: str, cut: int = MIN_TS):
+        self.table = table
+        self.ts = table["event_ts"].to_numpy()
+        self.offsets = table["offset"].to_numpy()
+        self.keys = table[key_column].to_pylist()
+        self.cut = cut
 
 
 class SymmetricJoinOp:
     """Stateful symmetric hash join between two co-partitioned streams.
 
-    Per-partition actor state = one Arrow table per side (north_star: "a
-    stateful symmetric hash join between the audio-clip stream and the
-    transcript stream").  Each arriving row probes the opposite table
-    and emits every pair within ``time_bound_us`` of event time; rows
-    evict once the watermark guarantees no future match (wm >= ts +
-    time_bound).  Partitioning both streams on the same key hash is
-    what makes the per-partition tables complete — the
+    north_star: "a stateful symmetric hash join between the audio-clip
+    stream and the transcript stream".  Each arriving row probes the
+    opposite side's state and emits every pair within ``time_bound_us``
+    of event time; rows evict once the watermark guarantees no future
+    match (wm > ts + time_bound).  Partitioning both streams on the same
+    key hash is what makes each partition's state complete — the
     Streaming-HyperCube-style co-partitioning argument.
+
+    State per side: an append-only run of Arrow chunks, one per
+    ``apply`` that stored rows, and a persistent index from key to
+    ``chunk_id << 32 | row`` (a keyed index over columnar rows, as in
+    the CAMEL hash table).  New rows probe the other side's index, so no
+    hash table of the live state is rebuilt per epoch, and each side's
+    payload is taken once, for the emitted pairs only.  Eviction works
+    chunk by chunk: a chunk whose newest row expired is dropped, one
+    whose oldest row is live is kept whole, and only a chunk straddling
+    the bound is filtered.  ``stores[side]`` is the zero-copy
+    concatenation of a side's live chunks.
 
     Input rows must carry ``__stream`` (0 = left, 1 = right).
     """
@@ -457,11 +469,14 @@ class SymmetricJoinOp:
         self.left_columns = tuple(left_columns)
         self.right_columns = tuple(right_columns)
         self.ts_column = ts_column
-        # COLUMNAR state: one Arrow table per side (key, event_ts int64,
-        # offset, payload cols), its chunks copies of the input rows —
-        # probes join (key, row index) projections, and the payload is
-        # taken once, for the emitted pairs only
-        self.stores: list[pa.Table | None] = [None, None]
+        self._chunks: list[dict[int, _Chunk]] = [{}, {}]
+        self._index: list[dict[Any, list[int]]] = [{}, {}]
+        self._offsets: list[set[int]] = [set(), set()]  # stored, for dedup
+        #: each side's last stored schema (``stores`` of an emptied side)
+        self._schemas: list[pa.Schema | None] = [None, None]
+        self._next_id = 0
+        #: chunks with a smaller id are in an earlier snapshot
+        self._saved = 0
         self.pending: list[pa.Table] = []  # matched this epoch, not yet collected
         self.late_rows = 0
         self.rows_seen = 0
@@ -475,32 +490,90 @@ class SymmetricJoinOp:
         return list(dict.fromkeys(
             [self.key_column, "event_ts", "offset", *payload]))
 
-    def _probe(self, l: pa.Table | None, r: pa.Table | None) -> None:
-        """Emit all (left, right) pairs with equal key within the time
-        bound: one key join over (key, row index) projections, a
-        ``|Δt| <= bound`` mask, and one ``take`` of each side's payload."""
-        if l is None or r is None or l.num_rows == 0 or r.num_rows == 0:
+    @property
+    def stores(self) -> list[pa.Table | None]:
+        """Each side's stored rows as one table (None before its first)."""
+        out = []
+        for side in (0, 1):
+            tables = [ch.table for ch in self._chunks[side].values()]
+            schema = self._schemas[side]
+            out.append(None if schema is None
+                       else schema.empty_table() if not tables
+                       else pa.concat_tables(tables,
+                                             promote_options="permissive"))
+        return out
+
+    def _store(self, side: int, ch: _Chunk) -> None:
+        """Append a new chunk to a side under the next chunk id."""
+        self._add(side, self._next_id, ch)
+        self._next_id += 1
+
+    def _add(self, side: int, cid: int, ch: _Chunk) -> None:
+        self._chunks[side][cid] = ch
+        self._schemas[side] = ch.table.schema
+        self._offsets[side].update(ch.offsets.tolist())
+        self._reindex(side, cid, ch)
+
+    def _reindex(self, side: int, cid: int, ch: _Chunk) -> None:
+        """Index a chunk's rows (a null key never matches)."""
+        index = self._index[side]
+        for row, key in enumerate(ch.keys):
+            if key is not None:
+                index.setdefault(key, []).append(cid << 32 | row)
+
+    def _unindex(self, side: int, cid: int, ch: _Chunk) -> None:
+        index = self._index[side]
+        for row, key in enumerate(ch.keys):
+            if key is not None:
+                entries = index[key]
+                entries.remove(cid << 32 | row)
+                if not entries:
+                    del index[key]
+
+    def _probe(self, side: int, new: _Chunk) -> None:
+        """Pair ``new`` (rows of ``side``) with every indexed row of the
+        other side that has the same key and lies within the bound, and
+        queue the pairs: the other side's rows are taken chunk by chunk
+        in (chunk, row) order, ``new``'s with one ``take``."""
+        index, chunks = self._index[1 - side], self._chunks[1 - side]
+        rows: list[int] = []
+        hits: list[int] = []
+        for i, key in enumerate(new.keys):
+            entries = index.get(key)
+            if entries:
+                rows += [i] * len(entries)
+                hits += entries
+        if not hits:
             return
-        k = self.key_column
-        pairs = pa.table({k: l[k], "__l": np.arange(l.num_rows)}).join(
-            pa.table({k: r[k], "__r": np.arange(r.num_rows)}), k,
-            join_type="inner", use_threads=False)
-        li, ri = pairs["__l"].to_numpy(), pairs["__r"].to_numpy()
-        ts_l, ts_r = l["event_ts"].to_numpy()[li], r["event_ts"].to_numpy()[ri]
-        ok = np.abs(ts_l - ts_r) <= self.time_bound_us
+        hits_a = np.array(hits, dtype=np.int64)
+        order = np.argsort(hits_a, kind="stable")
+        rows_a, hits_a = np.array(rows)[order], hits_a[order]
+        cids, orows = hits_a >> 32, hits_a & 0xFFFFFFFF
+        ts_o = np.empty(hits_a.size, dtype=np.int64)
+        for cid in np.unique(cids):
+            sel = cids == cid
+            ts_o[sel] = chunks[int(cid)].ts[orows[sel]]
+        ts_n = new.ts[rows_a]
+        ok = np.abs(ts_n - ts_o) <= self.time_bound_us
         if not ok.any():
             return
-        li, ri, ts_l, ts_r = li[ok], ri[ok], ts_l[ok], ts_r[ok]
-        # the stored side may be chunked: take its rows in ascending order
-        order = np.lexsort((li, ri) if r[k].num_chunks > 1 else (ri, li))
-        li, ri, ts_l, ts_r = li[order], ri[order], ts_l[order], ts_r[order]
-        lp = _take_ascending(
-            l.select(list(dict.fromkeys([k, *self._left_payload]))), li)
-        rp = _take_ascending(r.select(list(self._right_payload)), ri)
-        cols = {k: lp[k], "ts_left": ts_l, "ts_right": ts_r}
-        cols.update((c, lp[c]) for c in self._left_payload)
-        cols.update((c, rp[c]) for c in self._right_payload)
-        self.pending.append(pa.table(cols))
+        rows_a, cids, orows = rows_a[ok], cids[ok], orows[ok]
+        ts_n, ts_o = ts_n[ok], ts_o[ok]
+        k = self.key_column
+        lcols = list(dict.fromkeys([k, *self._left_payload]))
+        rcols = list(self._right_payload)
+        ocols, ncols = (rcols, lcols) if side == 0 else (lcols, rcols)
+        parts = [chunks[int(cid)].table.select(ocols).take(
+                     pa.array(orows[cids == cid])) for cid in np.unique(cids)]
+        other = (parts[0] if len(parts) == 1 else
+                 pa.concat_tables(parts, promote_options="permissive"))
+        mine = new.table.select(ncols).take(pa.array(rows_a))
+        (lp, ts_l), (rp, ts_r) = (((mine, ts_n), (other, ts_o)) if side == 0
+                                  else ((other, ts_o), (mine, ts_n)))
+        out = {k: lp[k], "ts_left": ts_l, "ts_right": ts_r}
+        out.update((c, lp[c]) for c in self._left_payload)
+        out.update((c, rp[c]) for c in self._right_payload)
+        self.pending.append(pa.table(out))
 
     def apply(self, table: pa.Table, wm_prev: int) -> None:
         if table.num_rows == 0:
@@ -513,70 +586,103 @@ class SymmetricJoinOp:
             return
         stream = table["__stream"].to_numpy(zero_copy_only=False)
         offsets = table["offset"].to_numpy()
-        news: list[pa.Table | None] = []
+        names = set(table.column_names)
         for side in (0, 1):
             idx = np.nonzero(~late & (stream == side))[0]
             # idempotent re-ingest (replayed epoch): keep the first row of
             # each offset the side does not already store
             _, first = np.unique(offsets[idx], return_index=True)
             idx = idx[np.sort(first)]
-            st = self.stores[side]
-            if st is not None and idx.size:
-                idx = idx[~np.isin(offsets[idx], st["offset"].to_numpy())]
+            stored = self._offsets[side]
+            idx = idx[np.array([o not in stored for o in offsets[idx].tolist()],
+                               dtype=bool)]
             if idx.size == 0:
-                news.append(None)
                 continue
-            # each side's own rows and columns, copied: a slice would
-            # pickle its parent's buffers into every checkpoint
-            cols = [c for c in self._side_cols(side) if c in table.column_names]
+            # the side's own rows and columns, copied: a slice would keep
+            # the whole input block alive and write it into checkpoints
+            cols = [c for c in self._side_cols(side) if c in names]
             new = table.select(cols).take(pa.array(idx))
             i = new.schema.get_field_index("event_ts")
             ts_new = pa.array(ts[idx])
-            news.append(new.set_column(i, "event_ts", ts_new) if i >= 0
-                        else new.append_column("event_ts", ts_new))
-        # pair set = new0×stored1 ∪ stored0×new1 ∪ new0×new1 — exactly the
-        # pairs the row-at-a-time probe emitted, order-independent
-        self._probe(news[0], self.stores[1])
-        self._probe(self.stores[0], news[1])
-        self._probe(news[0], news[1])
-        for side, new in enumerate(news):
-            st = self.stores[side]
-            if new is not None:
-                self.stores[side] = (new if st is None else pa.concat_tables(
-                    [st, new], promote_options="permissive"))
+            new = _Chunk(new.set_column(i, "event_ts", ts_new) if i >= 0
+                         else new.append_column("event_ts", ts_new),
+                         self.key_column)
+            # side 0 probes before its rows are indexed and side 1 after,
+            # so the pairs are new0×stored1 ∪ (stored0 ∪ new0)×new1: each
+            # pair the row-at-a-time probe emitted, exactly once
+            self._probe(side, new)
+            self._store(side, new)
 
     def on_watermark(self, wm: int) -> pa.Table:
         out, self.pending = concat_nonempty(self.pending), []
+        # keep rows with ts + bound >= wm: a future in-order row can sit
+        # EXACTLY at the bound (ts_new = wm = ts_old + bound) and must
+        # still find its partner (strict > lost the boundary pair when an
+        # epoch boundary fell between the two rows).  An evicted row's
+        # replay either hits the late check (live runs use the current
+        # watermark) or lands in an epoch the sink's (partition, epoch)
+        # manifest already absorbs (resume).
+        cut = wm - self.time_bound_us
         for side in (0, 1):
-            st = self.stores[side]
-            if st is None or st.num_rows == 0:
-                continue
-            # keep rows with ts + bound >= wm: a future in-order row can
-            # sit EXACTLY at the bound (ts_new = wm = ts_old + bound) and
-            # must still find its partner (strict > lost the boundary
-            # pair when an epoch boundary fell between the two rows).  An
-            # evicted row's replay either hits the late check (live runs
-            # use the current watermark) or lands in an epoch the sink's
-            # (partition, epoch) manifest already absorbs (resume).
-            keep = pc.greater_equal(st["event_ts"], wm - self.time_bound_us)
-            if not pc.all(keep).as_py():
-                self.stores[side] = st.filter(keep)
+            for cid, ch in list(self._chunks[side].items()):
+                if ch.ts.min() >= cut:
+                    continue  # oldest row live: keep the chunk whole
+                self._unindex(side, cid, ch)
+                live = ch.ts >= cut
+                self._offsets[side].difference_update(
+                    ch.offsets[~live].tolist())
+                if not live.any():
+                    del self._chunks[side][cid]
+                    continue
+                # straddles the bound: copy out its live rows, re-point
+                keep = np.nonzero(live)[0]
+                ch.table = ch.table.take(pa.array(keep))
+                ch.ts, ch.offsets = ch.ts[keep], ch.offsets[keep]
+                ch.keys = [ch.keys[i] for i in keep]
+                ch.cut = cut
+                self._reindex(side, cid, ch)
         return out
 
     def state_stats(self) -> tuple[int, int]:
         """(stored rows, their Arrow bytes), both sides together."""
-        live = [st for st in self.stores if st is not None]
-        return sum(st.num_rows for st in live), sum(st.nbytes for st in live)
+        chunks = [ch for side in self._chunks for ch in side.values()]
+        return (sum(ch.table.num_rows for ch in chunks),
+                sum(ch.table.nbytes for ch in chunks))
 
-    def snapshot(self) -> bytes:
-        return pickle.dumps({"stores": self.stores, "pending": self.pending,
-                             "late_rows": self.late_rows, "rows_seen": self.rows_seen},
-                            protocol=pickle.HIGHEST_PROTOCOL)
+    def snapshot(self) -> ChunkedSnapshot:
+        """The checkpoint delta: every live chunk's id and cut per side,
+        the counters and ``pending``, and an Arrow IPC stream of each
+        chunk stored since the previous snapshot.  Earlier chunks are in
+        earlier checkpoint files, which the store names."""
+        new = [(side, cid, ch.table) for side in (0, 1)
+               for cid, ch in self._chunks[side].items() if cid >= self._saved]
+        self._saved = self._next_id
+        head = {"chunks": [[(cid, ch.cut) for cid, ch in side.items()]
+                           for side in self._chunks],
+                "next_id": self._next_id, "schemas": self._schemas,
+                "pending": self.pending, "late_rows": self.late_rows,
+                "rows_seen": self.rows_seen}
+        return ChunkedSnapshot(head, new)
 
     def restore(self, blob: bytes) -> None:
-        d = pickle.loads(blob)
-        self.stores, self.pending = d["stores"], d["pending"]
-        self.late_rows, self.rows_seen = d["late_rows"], d["rows_seen"]
+        """Load a FULL snapshot, one holding every live chunk's stream
+        (:meth:`CheckpointStore.load` resolves a chain into one)."""
+        head, streams = ChunkedSnapshot.streams(blob)
+        self._chunks, self._index = [{}, {}], [{}, {}]
+        self._offsets = [set(), set()]
+        for side, chunks in enumerate(head["chunks"]):
+            for cid, cut in chunks:
+                if cid not in streams:
+                    raise ValueError(f"snapshot names chunk {cid} but holds "
+                                     "no stream for it")
+                t = pa.ipc.open_stream(pa.py_buffer(streams[cid][1])).read_all()
+                if cut > MIN_TS:
+                    t = t.filter(pc.greater_equal(t["event_ts"], cut))
+                self._add(side, cid, _Chunk(t, self.key_column, cut))
+        self._schemas = head["schemas"]
+        self._next_id = self._saved = head["next_id"]
+        self.pending = head["pending"]
+        self.late_rows, self.rows_seen = head["late_rows"], head["rows_seen"]
 
 
 def make_operator(kind: str, **kw):

@@ -34,6 +34,18 @@ def partition_ids(values, num_partitions: int) -> np.ndarray:
     return (stable_hash(values) % np.uint64(num_partitions)).astype(np.int64)
 
 
+def dictionary_codes(column) -> tuple[np.ndarray, list]:
+    """Factorize a column with ONE dictionary over its combined chunks:
+    (int64 code per row, the distinct values as Python objects in
+    first-seen order).  Routing hashes those Python values, so every
+    caller routes a key the same way.  Nulls are not coded."""
+    if isinstance(column, pa.ChunkedArray):
+        column = column.combine_chunks()
+    enc = column.dictionary_encode()
+    return (enc.indices.to_numpy(zero_copy_only=False).astype(np.int64),
+            enc.dictionary.to_pylist())
+
+
 _SALT_STRIDE = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -67,16 +79,10 @@ def split_by_partition(table: pa.Table, key_column: str, num_partitions: int,
     set is complete and duplicate-free with no owner merge.  Replicated
     copies share their offset; per-partition offset dedup absorbs route
     collisions (two salts landing on one partition)."""
-    # dictionary-encode: hash each DISTINCT key once (the object-array
-    # SipHash path is the contract; encoding just amortizes it over the
-    # key's repeat count), then gather per row by code
-    col = table[key_column].combine_chunks()
-    if isinstance(col, pa.ChunkedArray):
-        col = (col.chunk(0) if col.num_chunks == 1
-               else pa.concat_arrays(col.chunks))
-    enc = col.dictionary_encode()
-    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    uniq = enc.dictionary.to_pylist()
+    # hash each DISTINCT key once (the object-array SipHash path is the
+    # contract; encoding just amortizes it over the key's repeat count),
+    # then gather per row by code
+    codes, uniq = dictionary_codes(table[key_column])
     upids = partition_ids(uniq, num_partitions) if uniq else np.empty(0, np.int64)
     pids = upids[codes] if len(uniq) else np.empty(0, np.int64)
     extra_idx: list[np.ndarray] = []

@@ -8,7 +8,7 @@ per-partition operator state to a new hash partitioning — Flink-style
 rescaling, rebuilt on this engine's own primitives:
 
 - every operator's state is keyed (window: ``(key, slice) -> state``;
-  session: ``key -> intervals``; join: one Arrow table per side carrying
+  session: ``key -> intervals``; join: Arrow chunks per side carrying
   the key column), and the engine routes rows by ``partition_ids(key, P)`` —
   so resharding = route every state entry by the NEW P and merge
   whatever lands together.
@@ -94,32 +94,43 @@ def _reshard_session(snaps: list[dict], new_p: int, op_factory) -> list[dict]:
     return out
 
 
-def _reshard_join(snaps: list[dict], new_p: int, op) -> list[dict]:
+def _reshard_join(blobs: list[bytes], new_p: int, make) -> list[bytes]:
+    """Restore each old partition's join, route every stored row (and
+    every pending pair) by key over ``new_p``, and give each new
+    partition its rows as one chunk per side.  Returns the new
+    partitions' snapshots; each holds all its chunks, so the first
+    checkpoint of the new layout starts a fresh chain."""
     import pyarrow as pa
 
-    from .operators import concat_nonempty
+    from .operators import _Chunk, concat_nonempty
+
+    olds = []
+    for b in blobs:
+        op = make()
+        op.restore(b)
+        olds.append(op)
+    news = [make() for _ in range(new_p)]
+    key = news[0].key_column
 
     def route(tables: list) -> list:
         """Concatenate tables and split their rows by key over new_p."""
         t = concat_nonempty([x for x in tables if x is not None])
         if t.num_rows == 0:
             return [None] * new_p
-        pid = partition_ids(t[op.key_column].to_pylist(), new_p)
+        pid = partition_ids(t[key].to_pylist(), new_p)
         return [t.filter(pa.array(pid == p)) for p in range(new_p)]
 
     # each replayed offset routes to the one new partition that now
     # stores its row, so dedup against that partition's own store holds
-    sides = [route([d["stores"][side] for d in snaps]) for side in (0, 1)]
-    pend = route([t for d in snaps for t in d["pending"]])
-    out = []
-    for pid in range(new_p):
-        out.append({"stores": [sides[0][pid], sides[1][pid]],
-                    "pending": [pend[pid]] if pend[pid] is not None else [],
-                    "late_rows": sum(d["late_rows"] for d in snaps)
-                    if pid == 0 else 0,
-                    "rows_seen": sum(d["rows_seen"] for d in snaps)
-                    if pid == 0 else 0})
-    return out
+    for side in (0, 1):
+        for op, t in zip(news, route([o.stores[side] for o in olds])):
+            if t is not None and t.num_rows:
+                op._store(side, _Chunk(t, key))
+    for op, t in zip(news, route([t for o in olds for t in o.pending])):
+        op.pending = [t] if t is not None and t.num_rows else []
+    news[0].late_rows = sum(o.late_rows for o in olds)
+    news[0].rows_seen = sum(o.rows_seen for o in olds)
+    return [op.snapshot() for op in news]
 
 
 def reshard_snapshots(op_kind: str, op_kwargs: dict,
@@ -129,15 +140,16 @@ def reshard_snapshots(op_kind: str, op_kwargs: dict,
     partition."""
     from .operators import make_operator
 
-    op = make_operator(op_kind, **op_kwargs)
+    def make():
+        return make_operator(op_kind, **op_kwargs)
+
+    if op_kind == "join":
+        return _reshard_join(blobs, new_p, make)
     snaps = [pickle.loads(b) for b in blobs]
     if op_kind == "window":
-        parts = _reshard_window(snaps, new_p, op)
+        parts = _reshard_window(snaps, new_p, make())
     elif op_kind == "session":
-        parts = _reshard_session(
-            snaps, new_p, lambda: make_operator(op_kind, **op_kwargs))
-    elif op_kind == "join":
-        parts = _reshard_join(snaps, new_p, op)
+        parts = _reshard_session(snaps, new_p, make)
     else:
         raise ValueError(f"cannot reshard operator kind {op_kind!r}")
     return [pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL)

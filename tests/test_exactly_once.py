@@ -128,10 +128,6 @@ def test_checkpoint_gc_keeps_resume_exact(tmp_path):
     """GC'ing dead checkpoints (below the global resume point) must not
     change what a resume emits; file count genuinely shrinks; GC is
     idempotent and keeps LATEST consistent."""
-    import os
-
-    from parallel_dataflow_ray.streaming.checkpoint import CheckpointStore
-
     def eng():
         return StreamEngine("window",
                             {"spec": KERNELS["clip_stats"](),
@@ -142,7 +138,41 @@ def test_checkpoint_gc_keeps_resume_exact(tmp_path):
                             ckpt_root=str(tmp_path / "ckpt"),
                             ckpt_interval=1)
 
-    epochs = epochs_from_table(_table(), EPOCH_ROWS)
+    _gc_and_resume(tmp_path, eng, epochs_from_table(_table(), EPOCH_ROWS),
+                   _oracle_rows())
+
+
+def test_join_checkpoint_gc_keeps_resume_exact(tmp_path):
+    """The same for the symmetric join, whose checkpoints are deltas:
+    GC removes dead files yet keeps the older files that the retained
+    records name as holding live chunks."""
+    from parallel_dataflow_ray.streaming.partitioning import (
+        interleave_streams)
+
+    kw = dict(key_column="clip_id", time_bound_us=2_000_000,
+              left_columns=("sr_hz", "dur_ms"), right_columns=("transcript",))
+    clips = fixtures.clips_table(N, seed=42, lateness_ms=40, n_speakers=7)
+    events = fixtures.transcript_events_table(N, seed=42, lateness_ms=40)
+    epochs = epochs_from_table(interleave_streams(
+        clips.drop_columns(["transcript", "bytes"]), events), EPOCH_ROWS)
+    rows, _ = OracleExecutor("join", kw, LATENESS_US).run(epochs)
+
+    def eng():
+        return StreamEngine("join", dict(kw), num_partitions=P,
+                            allowed_lateness_us=LATENESS_US,
+                            key_column="clip_id",
+                            sink_root=str(tmp_path / "sink"),
+                            ckpt_root=str(tmp_path / "ckpt"),
+                            ckpt_interval=1)
+
+    _gc_and_resume(tmp_path, eng, epochs, canonical_sort(rows))
+
+
+def _gc_and_resume(tmp_path, eng, epochs, oracle):
+    import os
+
+    from parallel_dataflow_ray.streaming.checkpoint import CheckpointStore
+
     kill_at = len(epochs) - 2
     eng().run(epochs, stop_after_epoch=kill_at)
 
@@ -167,4 +197,4 @@ def test_checkpoint_gc_keeps_resume_exact(tmp_path):
     # resume after GC: byte-identical to the oracle, still a true resume
     res = eng().run(epochs)
     assert res["start_epoch"] > 0
-    assert _sink_rows(tmp_path / "sink") == _oracle_rows()
+    assert _sink_rows(tmp_path / "sink") == oracle

@@ -177,7 +177,7 @@ def bench_streaming(tmpdir: str) -> dict:
         num_partitions=P, allowed_lateness_us=50_000,
         sink_root=os.path.join(tmpdir, f"sink_{NUM_CPUS}_{time.time_ns()}"),
         ckpt_root=os.path.join(tmpdir, f"ckpt_{NUM_CPUS}_{time.time_ns()}"),
-        ckpt_interval=4, actor_num_cpus=1, sink_durable=False)
+        ckpt_interval=4, sink_durable=False)
     # long-lived actor pool (production shape): the untimed warm run pays
     # worker spawn + imports; the timed run measures steady-state streaming
     eng.keep_workers = True

@@ -70,8 +70,7 @@ def run_job(args) -> dict:
                        allowed_lateness_us=args.lateness_ms * 1000,
                        sink_root=args.sink, ckpt_root=args.ckpt,
                        late_root=args.late_sink,
-                       ckpt_interval=args.ckpt_interval,
-                       actor_num_cpus=1)
+                       ckpt_interval=args.ckpt_interval)
     res = eng.run(epochs, final_flush=True)
     # rows_seen is a per-partition cumulative counter: take each
     # partition's LAST metric and sum (a max() reported only the busiest

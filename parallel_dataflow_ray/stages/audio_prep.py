@@ -636,7 +636,7 @@ def sketch_arrays(E: np.ndarray, *, profile: bool = False):
 #   ``MinHashStage`` doctrine applies: INSTANCE-AS-UDF task pools —
 #   measured as fast as the fixed pool (13.5 s vs 14.7 s), use every
 #   free CPU, and cannot deadlock.  Actor pools remain for stages with
-#   real setup (engine splitter/partition actors, broadcast-ref
+#   real setup (engine partition actors, broadcast-ref
 #   stages).
 
 

@@ -6,11 +6,12 @@ dirty frontier, fans it to a rayon pool against a state snapshot, then
 merges results and builds the next frontier.  Here one **epoch** is one
 round:
 
-  map side — shuffle-map tasks split the epoch's Arrow blocks on the
-    operator key (one call per block, ``num_returns=P`` object refs;
-    data moves through the object store, never the driver).  For a
-    tumbling or sliding window the map side also FOLDS: each block's
-    rows become per-(key, slice) partial states
+  map side — one stateless shuffle-map task per Arrow block splits it
+    on the operator key (``num_returns=P`` object refs; data moves
+    through the object store, never the driver).  A join's or session's
+    task ships hash shards of the block's rows
+    (:func:`partitioning.split_by_partition`); a tumbling or sliding
+    window's task FOLDS them into per-(key, slice) partial states
     (:func:`operators.combine_window_block`), and only those ship.
 
   partition side — P long-lived partition actors merge their partials
@@ -34,15 +35,18 @@ broadcast-the-other decomposition (``join_broadcast_side``): each
 hot-key pair meets on exactly one partition, so matches stay final and
 no merge phase exists.
 
-Scale notes: actors are long-lived (state amortized across epochs);
-shards are shipped as object refs so Ray can spill under pressure; the
-shuffle prunes to the columns the operator declares
-(``spec.value_columns``) before anything moves.  On a real cluster the
+Scale notes: partition actors are long-lived (state amortized across
+epochs) and reserve ``PARTITION_CPUS`` each; map tasks reserve
+``MAP_TASK_CPUS`` on Ray's central queue, so they load-balance over
+whatever cores the actors leave free; shards are shipped as object refs
+so Ray can spill under pressure; the shuffle prunes to the columns the
+operator declares (``spec.value_columns``) before anything moves.  On a real cluster the
 same topology runs unchanged via ``ray job submit``.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any
 
 import pyarrow as pa
@@ -74,42 +78,29 @@ def _load_block(source, columns: list | None):
     return table
 
 
+#: logical CPUs per partition actor: light, since map tasks do the
+#: row-proportional work
+PARTITION_CPUS = 0.25
+#: logical CPUs per shuffle-map task: fractional so the task count mildly
+#: oversubscribes the free cores, hiding one task's read behind
+#: another's compute
+MAP_TASK_CPUS = 0.75
+
+
 @ray.remote
-def _split_block(source, num_partitions: int, columns: list | None, spec,
-                 assigner, ts_column: str, wm_prev: int, capture_late: bool):
-    """A window's shuffle-map body: one block -> P payloads of per-(key,
-    slice) PARTIAL states plus row/late accounting
-    (:func:`operators.combine_window_block`).  The raw value payload
-    (e.g. PCM bytes) never enters the object store — the streaming
-    analog of map-side combine before a groupby.  A stateless task: the
-    engine launches one per block on Ray's central queue (see
-    ``StreamEngine._split_epoch``)."""
-    payloads = combine_window_block(
-        _load_block(source, columns), spec, assigner, ts_column, wm_prev,
-        num_partitions, capture_late=capture_late)
-    return payloads[0] if num_partitions == 1 else tuple(payloads)
+def _split_block(source, columns: list | None, split):
+    """The shuffle-map body of every operator: one block -> the P
+    payloads ``split`` makes of it — a window's per-(key, slice) partial
+    states (:func:`operators.combine_window_block`; the raw value
+    payload, e.g. PCM bytes, never enters the object store) or a join's
+    or session's hash shards (:func:`partitioning.split_by_partition`).
+    A stateless task: each block's split is a pure function of its
+    keys, so no map-side state needs a long-lived owner."""
+    payloads = split(_load_block(source, columns))
+    return payloads[0] if len(payloads) == 1 else tuple(payloads)
 
 
-@ray.remote(num_cpus=0)
-class SplitWorker:
-    """Long-lived shuffle-map worker for the operators that ship rows
-    (join, session): one block -> P hash shards.  Splits run on a
-    persistent actor pool rather than stateless tasks: Ray culls idle
-    TASK workers beyond the CPU soft limit, and respawning them (process
-    fork + imports) in the middle of a stream showed up as multi-second
-    ingest stalls.  Long-lived map-side workers are also the production
-    shape — the reader processes of a streaming source are pinned, not
-    ephemeral."""
-
-    def split(self, source, key_column, num_partitions, salted_keys,
-              columns=None, join_broadcast_side=None):
-        shards = split_by_partition(_load_block(source, columns), key_column,
-                                    num_partitions, salted_keys=salted_keys,
-                                    join_broadcast_side=join_broadcast_side)
-        return shards[0] if num_partitions == 1 else tuple(shards)
-
-
-@ray.remote(num_cpus=0.25)
+@ray.remote(num_cpus=PARTITION_CPUS)
 class PartitionWorker:
     """One hash partition's stateful executor: operator + sink + ckpt."""
 
@@ -160,8 +151,7 @@ class PartitionWorker:
         self.late_sink = (ExactlyOnceSink(late_root, self.partition,
                                           durable=self._sink_durable)
                           if late_root else None)
-        if self.late_sink is not None and hasattr(self.op, "capture_late"):
-            self.op.capture_late = True
+        self.op.capture_late = self.late_sink is not None
         self.ckpt = (CheckpointStore(ckpt_root, self.partition)
                      if ckpt_root else None)
         self.max_offset = -1
@@ -212,9 +202,7 @@ class PartitionWorker:
             self.sink.commit(epoch, table, watermark=wm,
                              max_offset=self.max_offset, elapsed_s=elapsed)
         if self.late_sink is not None and commit:
-            late_tbl = (self.op.take_late()
-                        if hasattr(self.op, "take_late") else None)
-            self.late_sink.commit(epoch, late_tbl, watermark=wm,
+            self.late_sink.commit(epoch, self.op.take_late(), watermark=wm,
                                   max_offset=self.max_offset,
                                   elapsed_s=elapsed)
         t_ckpt = self._time.perf_counter()
@@ -248,7 +236,7 @@ class StreamEngine:
     def __init__(self, op_kind: str, op_kwargs: dict, *, num_partitions: int = 8,
                  allowed_lateness_us: int = 0, sink_root: str | None = None,
                  ckpt_root: str | None = None, ckpt_interval: int = 4,
-                 key_column: str | None = None, actor_num_cpus: float = 0.25,
+                 key_column: str | None = None,
                  salted_keys: dict[Any, int] | None = None,
                  shuffle_columns: list[str] | None = None,
                  sink_durable: bool = True,
@@ -273,7 +261,6 @@ class StreamEngine:
             key_column = (spec.key_column if isinstance(spec, StreamOpSpec)
                           else op_kwargs.get("key_column", "clip_id"))
         self.key_column = key_column
-        self.actor_num_cpus = actor_num_cpus
         #: epochs pipeline through the actors with this many
         #: in-flight (bounded for backpressure); per-actor message order
         #: keeps per-partition epoch order correct
@@ -286,8 +273,6 @@ class StreamEngine:
         #: on every stream) — pair with reset_state() between streams
         self.keep_workers = False
         self._workers = None
-        self._splitters: list = []
-        self._split_rr = 0
         #: self-healing: an actor lost mid-run (OOM kill, node loss) is
         #: recovered INSIDE run() by falling back to the proven
         #: checkpoint-resume path — up to this many times per run()
@@ -312,17 +297,17 @@ class StreamEngine:
         #: (state co-location is routing-determined).
         self.join_broadcast_side = (int(join_broadcast_side)
                                     if self.salted_keys else None)
+        if self.salted_keys and late_root:
+            raise ValueError(
+                "late_root with salted_keys: a late row of the broadcast "
+                "side is replicated to every salt route, so the late sink "
+                "would hold it once per route")
         #: map-side combine: every tumbling/sliding window folds
         #: per-(key, slice) partials in the split task and ships ONLY
         #: partials (a buffered spec's partial is its run buffer)
         self.combine = op_kind == "window"
         #: target rows per window fold task (fold granularity)
         self.combine_split_rows = 1000
-        #: logical CPUs per combine fold task: fractional so the task
-        #: count mildly oversubscribes the free cores (8-CPU node with
-        #: P=6 light partition actors -> 8 concurrent folds, not 6),
-        #: hiding each task's read phase behind another's compute
-        self.combine_task_cpus = 0.75
         # shuffle column pruning: key + time + lineage + what the spec reads
         if shuffle_columns is None and isinstance(spec, StreamOpSpec) and spec.value_columns:
             shuffle_columns = list(dict.fromkeys(
@@ -386,45 +371,40 @@ class StreamEngine:
                   final_flush: bool = False) -> dict:
         wm_sched = self._schedule(epochs, ts_column)
         reuse = self._workers is not None
-        if not reuse and self.P == 0:
-            # adaptive dispatch (the MixedExecutor analog, reference
-            # impls/src/mixed.rs:32-38): tiny streams run on one
-            # partition (no shuffle/actor overhead), large ones fan out.
-            # Unlike the reference's per-CFG block-count threshold (which
-            # the blog found could LOSE, blog/blog.md:70) this keys on
-            # total rows vs a per-partition floor, so parallelism never
-            # exceeds useful work.
-            total = sum(t["rows"] if isinstance(t, dict) else t.num_rows
-                        for t in epochs)
-            import ray as _ray
-            cpus = int(_ray.cluster_resources().get("CPU", 4))
-            self.P = max(1, min(cpus, total // 2000)) if total >= 4000 else 1
         if reuse:
             # persistent pool (long-lived actors — the production shape):
             # same processes, state freshly reset via reset_state()
             workers = self._workers
         else:
-            # a window's fold lives in the split tasks, so its
-            # partition actors (merge partials + sink) need only a light
-            # reservation — otherwise P idle actors would hold the CPUs
-            # the fold tasks should be running on
-            part_cpus = (min(self.actor_num_cpus, 0.25) if self.combine
-                         else self.actor_num_cpus)
+            cpus = ray.cluster_resources().get("CPU", 0)
+            if self.P == 0:
+                # adaptive dispatch (the MixedExecutor analog, reference
+                # impls/src/mixed.rs:32-38): tiny streams run on one
+                # partition (no shuffle/actor overhead), large ones fan
+                # out.  Unlike the reference's per-CFG block-count
+                # threshold (which the blog found could LOSE,
+                # blog/blog.md:70) this keys on total rows vs a
+                # per-partition floor, so parallelism never exceeds
+                # useful work.
+                total = sum(t["rows"] if isinstance(t, dict) else t.num_rows
+                            for t in epochs)
+                self.P = (max(1, min(int(cpus), total // 2000))
+                          if total >= 4000 else 1)
+            # P actors plus one map task must fit, or every map task
+            # waits forever behind the actors' reservations
+            if self.P * PARTITION_CPUS + MAP_TASK_CPUS > cpus:
+                raise ValueError(
+                    f"num_partitions={self.P} cannot be scheduled on "
+                    f"{cpus:g} CPUs: {self.P} partition actors at "
+                    f"{PARTITION_CPUS} CPU plus one {MAP_TASK_CPUS}-CPU map "
+                    "task need more")
             workers = [
-                PartitionWorker.options(num_cpus=part_cpus)
-                .remote(p, self.op_kind, self.op_kwargs, self.sink_root,
-                        self.ckpt_root, self.sink_durable, self.late_root,
-                        self.failure_injection)
+                PartitionWorker.remote(
+                    p, self.op_kind, self.op_kwargs, self.sink_root,
+                    self.ckpt_root, self.sink_durable, self.late_root,
+                    self.failure_injection)
                 for p in range(self.P)
             ]
-            # zero-CPU actors: concurrency is bounded by the pool size, and
-            # a zero logical footprint can never deadlock against the
-            # partition actors' reservations on a small node.  A window
-            # folds in tasks instead (see _split_epoch) and needs no pool.
-            n_split = 0 if self.combine else max(2, min(self.split_prefetch,
-                                                        self.P))
-            self._splitters = [SplitWorker.remote() for _ in range(n_split)]
-            self._split_rr = 0
         start_epoch = 0
         if self.ckpt_root and not reuse:
             from .reshard import (list_checkpoint_partitions,
@@ -520,9 +500,8 @@ class StreamEngine:
             if self.keep_workers:
                 self._workers = workers
             else:
-                for w in workers + self._splitters:
+                for w in workers:
                     ray.kill(w, no_restart=True)
-                self._splitters = []
         return {"emitted": per_epoch_emitted if collect else None,
                 "metrics": metrics, "start_epoch": start_epoch,
                 "watermarks": wm_sched}
@@ -543,10 +522,9 @@ class StreamEngine:
 
     def close(self) -> None:
         if self._workers is not None:
-            for w in self._workers + self._splitters:
+            for w in self._workers:
                 ray.kill(w, no_restart=True)
             self._workers = None
-            self._splitters = []
 
     def _split_epoch(self, source, wm_prev: int = MIN_TS,
                      ts_column: str = "event_ts") -> list[list]:
@@ -554,7 +532,7 @@ class StreamEngine:
         if source is None:
             return per_part
         if isinstance(source, dict):
-            # fragment: the split worker reads it itself.  For a window
+            # fragment: the map task reads it itself.  For a window
             # the split task IS the fold, so one task per fragment
             # caps intra-epoch parallelism at 1 — fan the fragment into
             # row-group-range sub-tasks (~combine_split_rows rows each;
@@ -573,34 +551,24 @@ class StreamEngine:
             return per_part
         else:
             blocks = self._blocks(source)
-        nr = 1 if self.P == 1 else self.P
-        split_refs = []
+        if self.combine:
+            split = partial(combine_window_block, spec=self.op_kwargs["spec"],
+                            assigner=self.op_kwargs["assigner"],
+                            ts_column=ts_column, wm_prev=wm_prev,
+                            num_partitions=self.P,
+                            capture_late=self.late_root is not None)
+        else:
+            split = partial(split_by_partition, key_column=self.key_column,
+                            num_partitions=self.P,
+                            salted_keys=self.salted_keys,
+                            join_broadcast_side=self.join_broadcast_side)
+        # stateless tasks on the CENTRAL queue, so Ray load-balances
+        # them across whatever cores the partition actors leave free
+        task = _split_block.options(num_cpus=MAP_TASK_CPUS, num_returns=self.P)
         for b in blocks:
-            if self.combine:
-                # the window's fold = real compute: a stateless task on
-                # the CENTRAL queue, so Ray load-balances across
-                # whatever cores the light partition reservations leave
-                # free — round-robin over a fixed actor pool would pin
-                # variable-duration folds to queues and create stragglers
-                split_refs.append(
-                    _split_block.options(num_cpus=self.combine_task_cpus,
-                                         num_returns=nr)
-                    .remote(b, self.P, self.shuffle_columns,
-                            self.op_kwargs["spec"], self.op_kwargs["assigner"],
-                            ts_column, wm_prev, self.late_root is not None))
-                continue
-            s = self._splitters[self._split_rr % len(self._splitters)]
-            self._split_rr += 1
-            split_refs.append(
-                s.split.options(num_returns=nr)
-                .remote(b, self.key_column, self.P, self.salted_keys,
-                        self.shuffle_columns, self.join_broadcast_side))
-        for refs in split_refs:
-            if self.P == 1:
-                per_part[0].append(refs)
-            else:
-                for p, r in enumerate(refs):
-                    per_part[p].append(r)
+            refs = task.remote(b, self.shuffle_columns, split)
+            for p, r in enumerate([refs] if self.P == 1 else refs):
+                per_part[p].append(r)
         return per_part
 
     def _launch_epoch(self, e: int, per_part: list[list], wm_prev: int,

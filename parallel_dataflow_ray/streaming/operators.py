@@ -313,10 +313,13 @@ class WindowedAggregateOp:
 class SessionAggregateOp:
     """Session windows: per-key interval merging of partial sessions.
 
-    A row opens the interval ``[ts, ts+gap)``; overlapping intervals for
-    the same key merge (and their states merge via :func:`merge_states`
-    — legal because merge is a semilattice combine).  A session closes
-    when the watermark passes its end.
+    A row opens the interval ``[ts, ts+gap)``; overlapping or touching
+    intervals for the same key merge (and their states merge via
+    :func:`merge_states` — legal because merge is a semilattice
+    combine), so two rows exactly ``gap`` apart share a session, as
+    under the SQL ``diff > gap`` break, however the rows are batched.  A
+    session closes once the watermark is past its end (``end < wm``): a
+    row at ``ts = end`` still extends it.
     """
 
     def __init__(self, spec: StreamOpSpec, assigner: SessionWindows,
@@ -345,7 +348,7 @@ class SessionAggregateOp:
         n = table.num_rows
         self.rows_seen += n
         ts = table[self.ts_column].cast(pa.int64()).to_numpy()
-        late = wm_prev >= ts + self.gap_us
+        late = wm_prev > ts + self.gap_us
         self.late_rows += int(late.sum())  # its session has already closed
         if self.capture_late and late.any():
             self._late_tbls.append(table.take(pa.array(np.nonzero(late)[0])))
@@ -372,10 +375,10 @@ class SessionAggregateOp:
 
     def _insert_interval(self, key, start: int, end: int, state) -> None:
         ivs = self.sessions.setdefault(key, [])
-        # collect overlapping intervals ([s,e) overlaps [start,end) if s < end and start < e)
+        # collect overlapping or touching intervals (s <= end and start <= e)
         keep, merged = [], [start, end, state]
         for iv in ivs:
-            if iv[0] < merged[1] and merged[0] < iv[1]:
+            if iv[0] <= merged[1] and merged[0] <= iv[1]:
                 merged[0] = min(merged[0], iv[0])
                 merged[1] = max(merged[1], iv[1])
                 merged[2] = merge_states(self.spec, iv[2], merged[2])
@@ -391,7 +394,7 @@ class SessionAggregateOp:
         for key in list(self.sessions):
             remain = []
             for iv in self.sessions[key]:
-                if iv[1] <= wm:
+                if iv[1] < wm:
                     row = spec.finish(key, (iv[0], iv[1]),
                                       _close_state(spec, iv[2]))
                     if row is not None:
@@ -480,10 +483,14 @@ class SymmetricJoinOp:
         self.pending: list[pa.Table] = []  # matched this epoch, not yet collected
         self.late_rows = 0
         self.rows_seen = 0
+        self.capture_late = False           # dead-letter side output
+        self._late_tbls: list[pa.Table] = []
         # left payload first, right payload overwrites on name collision
         self._left_payload = tuple(c for c in dict.fromkeys(self.left_columns)
                                    if c not in self.right_columns)
         self._right_payload = tuple(dict.fromkeys(self.right_columns))
+
+    take_late = WindowedAggregateOp.take_late
 
     def _side_cols(self, side: int) -> list[str]:
         payload = self.left_columns if side == 0 else self.right_columns
@@ -582,6 +589,8 @@ class SymmetricJoinOp:
         ts = table[self.ts_column].cast(pa.int64()).to_numpy()
         late = wm_prev >= ts + self.time_bound_us
         self.late_rows += int(late.sum())  # every possible match already evicted
+        if self.capture_late and late.any():
+            self._late_tbls.append(table.take(pa.array(np.nonzero(late)[0])))
         if late.all():
             return
         stream = table["__stream"].to_numpy(zero_copy_only=False)

@@ -57,8 +57,7 @@ class OracleExecutor:
         # one un-partitioned operator instance holds ALL keys' state
         self.op = make_operator(op_kind, **op_kwargs)
         self.clock = WatermarkClock(allowed_lateness_us)
-        if capture_late and hasattr(self.op, "capture_late"):
-            self.op.capture_late = True
+        self.op.capture_late = capture_late
 
     def run(self, epochs: list[pa.Table], ts_column: str = "event_ts",
             final_flush: bool = False) -> tuple[list[dict], dict]:
@@ -85,9 +84,7 @@ class OracleExecutor:
             emitted.extend(canonical_sort(self.op.on_watermark(2**62)))
         metrics = {"late_rows": self.op.late_rows, "rows_seen": self.op.rows_seen,
                    "final_watermark": self.clock.watermark}
-        if getattr(self.op, "capture_late", False):
+        if self.op.capture_late:
             # dead-letter ground truth for the engine's late side output
-            metrics["late_table"] = (self.op.take_late()
-                                     if hasattr(self.op, "take_late")
-                                     else None)
+            metrics["late_table"] = self.op.take_late()
         return emitted, metrics

@@ -65,8 +65,8 @@ def split_by_partition(table: pa.Table, key_column: str, num_partitions: int,
     """One pass split of an Arrow table into P sub-tables by key hash.
 
     This is the map side of the engine's shuffle for the operators that
-    ship rows (join, session); it runs on the engine's ``SplitWorker``
-    pool, one call per input block.
+    ship rows (join, session); it runs in the engine's stateless
+    shuffle-map task, one call per input block.
 
     ``salted_keys = {key: n_salts}`` with ``join_broadcast_side`` is the
     symmetric-join skew shape (the classic partial-replication /
@@ -196,7 +196,7 @@ def dataset_epochs(ds, ts_column: str = "event_ts",
     """Frame a Ray Dataset's blocks as epochs WITHOUT materializing rows
     on the driver: block refs stay in the object store; one tiny stats
     task per block extracts (rows, max_ts, min_offset) — all the driver
-    needs for the watermark schedule.  Split workers ``ray.get`` their
+    needs for the watermark schedule.  Map tasks ``ray.get`` their
     block zero-copy.  Epochs are ordered by min offset (arrival order),
     so the framing is deterministic for a deterministically-ordered
     Dataset."""

@@ -36,7 +36,7 @@ import pickle
 import re as _re
 
 from .partitioning import partition_ids
-from .sink import fsync_dir
+from .sink import _manifests, fsync_dir
 
 
 def list_checkpoint_partitions(root: str) -> int:
@@ -163,16 +163,8 @@ def revoke_sink_epochs_after(sink_root: str, epoch: int) -> int:
     the new partitioning.  Returns the number of revoked commits."""
     import json
 
-    mdir = os.path.join(sink_root, "manifest")
-    if not os.path.isdir(mdir):
-        return 0
     revoked = 0
-    for fn in sorted(os.listdir(mdir)):
-        if not fn.endswith(".json"):
-            continue
-        path = os.path.join(mdir, fn)
-        with open(path) as f:
-            manifest = json.load(f)
+    for path, manifest in _manifests(sink_root):
         drop = [e for e in manifest["epochs"] if int(e) > epoch]
         if not drop:
             continue
@@ -236,7 +228,7 @@ def revoke_sink_epochs_after(sink_root: str, epoch: int) -> int:
             f.flush()
             os.fsync(f.fileno())
         os.rename(tmp, path)
-        fsync_dir(mdir)
+        fsync_dir(os.path.dirname(path))
         # delete only AFTER the manifest rename: a crash mid-revoke
         # leaves orphan files (harmless), never a manifest entry whose
         # file is gone

@@ -66,6 +66,20 @@ def fsync_dir(path: str) -> None:
         os.close(fd)
 
 
+def _manifests(root: str):
+    """Yield ``(path, manifest)`` for every partition manifest of the
+    sink at ``root``, in partition order (none if it has no manifests)."""
+    man_dir = os.path.join(root, "manifest")
+    if not os.path.isdir(man_dir):
+        return
+    for name in sorted(os.listdir(man_dir)):
+        if name.endswith(".json"):
+            path = os.path.join(man_dir, name)
+            with open(path) as f:
+                man = json.load(f)
+            yield path, man
+
+
 def _atomic_write_bytes(path: str, data: bytes, durable: bool = True) -> None:
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
@@ -172,15 +186,8 @@ class ExactlyOnceSink:
     @staticmethod
     def lineage(root: str) -> list[dict]:
         """Flattened per-(partition, epoch) lineage/throughput records."""
-        man_dir = os.path.join(root, "manifest")
         out = []
-        if not os.path.isdir(man_dir):
-            return out
-        for name in sorted(os.listdir(man_dir)):
-            if not name.endswith(".json"):
-                continue
-            with open(os.path.join(man_dir, name)) as f:
-                man = json.load(f)
+        for _, man in _manifests(root):
             for epoch, rec in sorted(man["epochs"].items(), key=lambda kv: int(kv[0])):
                 out.append({"partition": man["partition"], "epoch": int(epoch), **rec})
         return out
@@ -210,17 +217,9 @@ class ExactlyOnceSink:
         numbering and replay dedup key off the manifest, not fragment
         files.  Returns {"partitions", "fragments_removed", "files_written"}.
         """
-        man_dir = os.path.join(root, "manifest")
         data_dir = os.path.join(root, "data")
         stats = {"partitions": 0, "fragments_removed": 0, "files_written": 0}
-        if not os.path.isdir(man_dir):
-            return stats
-        for name in sorted(os.listdir(man_dir)):
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(man_dir, name)
-            with open(path) as f:
-                man = json.load(f)
+        for path, man in _manifests(root):
             frag_epochs = [(int(e), rec) for e, rec in man["epochs"].items()
                            if rec.get("fragment")]
             if len(frag_epochs) <= 1:
@@ -252,7 +251,7 @@ class ExactlyOnceSink:
                 rec["compacted"] = True
             man["compacted"] = man.get("compacted", []) + new_files
             _atomic_write_bytes(path, json.dumps(man).encode(), durable=True)
-            fsync_dir(man_dir)
+            fsync_dir(os.path.dirname(path))
             for fp in old_paths:
                 if os.path.isdir(fp):       # a .lance fragment is a directory
                     import shutil
@@ -279,15 +278,8 @@ class ExactlyOnceSink:
         its row PREFIX of length sum(rows of compacted epochs <= E) —
         the manifest's retained per-epoch lineage makes the prefix
         computable without any per-row epoch column."""
-        man_dir = os.path.join(root, "manifest")
-        if not os.path.isdir(man_dir):
-            return None
         tables = []
-        for name in sorted(os.listdir(man_dir)):
-            if not name.endswith(".json"):
-                continue
-            with open(os.path.join(man_dir, name)) as f:
-                man = json.load(f)
+        for _, man in _manifests(root):
             eps = sorted(((int(e), rec) for e, rec in
                           man["epochs"].items()), key=lambda kv: kv[0])
             # live per-epoch fragments in range
@@ -315,15 +307,8 @@ class ExactlyOnceSink:
     def committed_files(root: str) -> list[str]:
         """Every committed data file (per-epoch fragments + compacted),
         manifest-driven — the exactly-once read set."""
-        man_dir = os.path.join(root, "manifest")
         files = []
-        if not os.path.isdir(man_dir):
-            return files
-        for name in sorted(os.listdir(man_dir)):
-            if not name.endswith(".json"):
-                continue
-            with open(os.path.join(man_dir, name)) as f:
-                man = json.load(f)
+        for _, man in _manifests(root):
             for fn in man.get("compacted", []):
                 files.append(os.path.join(root, "data", fn))
             for epoch in sorted(man["epochs"], key=int):

@@ -7,7 +7,8 @@ second exactly-once sink so they can be audited or re-driven.  Ground
 truth is the sequential oracle running the same operator with
 ``capture_late=True``; the invariant is the late row MULTISET (by
 offset), identical for incremental and buffered window specs (both
-folded map-side), session windows, and kill/resume replay.
+folded map-side), session windows, the symmetric join, and kill/resume
+replay.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from parallel_dataflow_ray.streaming import (
     OracleExecutor, SessionWindows, StreamEngine, TumblingWindows,
 )
 from parallel_dataflow_ray.streaming.kernels import KERNELS
-from parallel_dataflow_ray.streaming.partitioning import epochs_from_table
+from parallel_dataflow_ray.streaming.partitioning import (
+    epochs_from_table, interleave_streams)
 from parallel_dataflow_ray.streaming.sink import ExactlyOnceSink
 
 N = 600
@@ -110,3 +112,51 @@ def test_late_sink_exactly_once_on_resume(tmp_path):
     eng().run(epochs)                                      # resume
     late = ExactlyOnceSink.read_all(str(tmp_path / "late"))
     assert _offsets(late) == oracle_late
+
+
+#: a 20 ms join bound against the same 120 ms jitter makes late rows
+#: on both streams
+JOIN_KW = dict(key_column="clip_id", time_bound_us=20_000,
+               left_columns=("sr_hz",), right_columns=("transcript",))
+
+
+def _join_epochs() -> list[pa.Table]:
+    clips = fixtures.clips_table(N, seed=42, lateness_ms=120, n_speakers=7)
+    events = fixtures.transcript_events_table(N, seed=42, lateness_ms=120)
+    merged = interleave_streams(clips.drop_columns(["transcript"]), events)
+    return epochs_from_table(merged, EPOCH_ROWS)
+
+
+def _stream_offsets(tbl: pa.Table | None) -> list[tuple[int, int]]:
+    if tbl is None or tbl.num_rows == 0:
+        return []
+    return sorted(zip(tbl["__stream"].to_pylist(), tbl["offset"].to_pylist()))
+
+
+def test_late_sink_symmetric_join(tmp_path):
+    """The join routes its late rows to the dead-letter sink too: the
+    late sink holds exactly the oracle's late rows, by (stream, offset),
+    and the main sink still matches the oracle."""
+    epochs = _join_epochs()
+    o = OracleExecutor("join", dict(JOIN_KW), LATENESS_US, capture_late=True)
+    oracle_rows, om = o.run(epochs)
+    oracle_late = _stream_offsets(om["late_table"])
+    assert om["late_rows"] > 0 and len(oracle_late) == om["late_rows"]
+    StreamEngine("join", dict(JOIN_KW), num_partitions=4,
+                 allowed_lateness_us=LATENESS_US,
+                 sink_root=str(tmp_path / "sink"),
+                 late_root=str(tmp_path / "late")).run(epochs)
+    late = ExactlyOnceSink.read_all(str(tmp_path / "late"))
+    assert _stream_offsets(late) == oracle_late
+    from parallel_dataflow_ray.streaming.oracle import canonical_sort
+    main = ExactlyOnceSink.read_all(str(tmp_path / "sink"))
+    assert oracle_rows and canonical_sort(main) == canonical_sort(oracle_rows)
+
+
+def test_late_sink_refused_with_salted_join(tmp_path):
+    """A salted join replicates a broadcast-side row to every salt
+    route, so its late rows would reach the late sink once per route."""
+    with pytest.raises(ValueError, match="salted_keys"):
+        StreamEngine("join", dict(JOIN_KW), num_partitions=4,
+                     salted_keys={"clip-00000001": 2},
+                     late_root=str(tmp_path / "late"))

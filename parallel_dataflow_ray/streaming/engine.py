@@ -6,13 +6,21 @@ dirty frontier, fans it to a rayon pool against a state snapshot, then
 merges results and builds the next frontier.  Here one **epoch** is one
 round:
 
-  map side — one stateless shuffle-map task per Arrow block splits it
-    on the operator key (``num_returns=P`` object refs; data moves
-    through the object store, never the driver).  A join's or session's
-    task ships hash shards of the block's rows
-    (:func:`partitioning.split_by_partition`); a tumbling or sliding
-    window's task FOLDS them into per-(key, slice) partial states
-    (:func:`operators.combine_window_block`), and only those ship.
+  map side — decided once per Arrow block, the reference's
+    ``MixedExecutor`` rule (``impls/src/mixed.rs:32-38``: small work
+    inline, large work fanned out).  A tumbling or sliding window's
+    block always goes to one stateless shuffle-map task that FOLDS it
+    into per-(key, slice) partial states
+    (:func:`operators.combine_window_block`; ``num_returns=P`` object
+    refs, data moves through the object store, never the driver), and
+    only those ship: the fold is real work and shrinks what moves.  A
+    join's or session's block is only routed, not reduced, so a small
+    one (``(P - 1) x bytes <= INLINE_READ_BYTES``) skips the task: each
+    partition actor reads the block itself and keeps its own rows
+    (:func:`partitioning.route_rows`; co-partitioning makes a
+    partition's slice a pure function of the key).  A large one, or one
+    of unknown size, goes to the map task, which ships hash shards
+    (:func:`partitioning.split_by_partition`, the same routing).
 
   partition side — P long-lived partition actors merge their partials
     (or apply their row shards: join, session), close what the
@@ -40,8 +48,9 @@ epochs) and reserve ``PARTITION_CPUS`` each; map tasks reserve
 ``MAP_TASK_CPUS`` on Ray's central queue, so they load-balance over
 whatever cores the actors leave free; shards are shipped as object refs
 so Ray can spill under pressure; the shuffle prunes to the columns the
-operator declares (``spec.value_columns``) before anything moves.  On a real cluster the
-same topology runs unchanged via ``ray job submit``.
+operator declares (``spec.value_columns``) before anything moves, and a
+block an actor reads itself is pruned the same way.  On a real cluster
+the same topology runs unchanged via ``ray job submit``.
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ import ray
 
 from .checkpoint import CheckpointStore
 from .oracle import canonical_order
-from .partitioning import load_epoch, split_by_partition
+from .partitioning import load_epoch, route_rows, split_by_partition
 from .sink import ExactlyOnceSink
 from .spec import StreamOpSpec
 from .watermark import MIN_TS
@@ -85,6 +94,13 @@ PARTITION_CPUS = 0.25
 #: oversubscribes the free cores, hiding one task's read behind
 #: another's compute
 MAP_TASK_CPUS = 0.75
+#: a join's or session's block is read by every partition actor itself,
+#: with no map task, when ``(P - 1) x block_bytes`` is at most this.
+#: The map task's hop costs ~11 ms of CPU per epoch (driver, raylet and
+#: task worker together, measured on a 4-core host), and parquet decodes
+#: at ~1.5 GB/s, so the P - 1 extra reads of a block cost less than the
+#: hop up to ~11 ms x 1.5 GB/s ~ 16 MB.
+INLINE_READ_BYTES = 16 * 2**20
 
 
 @ray.remote
@@ -100,6 +116,16 @@ def _split_block(source, columns: list | None, split):
     return payloads[0] if len(payloads) == 1 else tuple(payloads)
 
 
+def _own_rows(source, partition: int, columns: list | None, route):
+    """A partition actor's read of a small row-operator block: load it
+    (pruned to ``columns``), route it (``route``, a bound
+    :func:`partitioning.route_rows`) and copy out only this partition's
+    rows — the rows, in the order, the map task's shard would hold."""
+    table = _load_block(source, columns)
+    row_idx, pids = route(table)
+    return table.take(pa.array(row_idx[pids == partition]))
+
+
 @ray.remote(num_cpus=PARTITION_CPUS)
 class PartitionWorker:
     """One hash partition's stateful executor: operator + sink + ckpt."""
@@ -108,9 +134,13 @@ class PartitionWorker:
                  sink_root: str | None, ckpt_root: str | None,
                  sink_durable: bool = True,
                  late_root: str | None = None,
-                 fail_at: dict | None = None):
+                 fail_at: dict | None = None,
+                 read_block=None):
         import time
         self._time = time
+        #: a small block's actor-side read (a bound :func:`_own_rows`;
+        #: None for windows, whose blocks always go to the map task)
+        self._read_block = read_block
         #: test-only one-shot fault: hard-exit this actor at (partition,
         #: epoch) unless the marker file already records the kill
         self._fail_at = fail_at
@@ -165,7 +195,9 @@ class PartitionWorker:
         message order keeps each partition's epochs in order, so the
         driver pipelines epochs without a barrier.  The metrics row
         carries the live state (``state_rows``, ``state_bytes``) after
-        the epoch."""
+        the epoch, the wait for map-task payloads (``wait_s``) and the
+        actor's own read and routing of small blocks (``load_s``, 0 when
+        every block went to a map task)."""
         if (self._fail_at is not None
                 and self.partition == self._fail_at["partition"]
                 and epoch == self._fail_at["epoch"]):
@@ -176,12 +208,19 @@ class PartitionWorker:
                     f.write("killed")
                 _os._exit(1)        # simulate an abrupt actor loss
         t0 = self._time.perf_counter()
-        # shards arrive as ObjectRefs inside a list (deliberately NOT
-        # top-level args, so Ray does not copy them into the actor queue);
-        # ray.get is zero-copy for Arrow tables in the local object store.
-        if shards and isinstance(shards[0], ray.ObjectRef):
-            shards = ray.get(list(shards))
-        wait_s = self._time.perf_counter() - t0
+        # map-task payloads arrive as ObjectRefs inside a list
+        # (deliberately NOT top-level args, so Ray does not copy them into
+        # the actor queue); ray.get is zero-copy for Arrow tables in the
+        # local object store.  Any other entry is a small block's source,
+        # which this actor reads and routes itself, in block order.
+        is_ref = [isinstance(s, ray.ObjectRef) for s in shards]
+        got = iter(ray.get([s for s, r in zip(shards, is_ref) if r]))
+        t_load = self._time.perf_counter()
+        wait_s = t_load - t0
+        shards = [next(got) if r else self._read_block(s, self.partition)
+                  for s, r in zip(shards, is_ref)]
+        load_s = (0.0 if all(is_ref)
+                  else self._time.perf_counter() - t_load)
         for shard in shards:
             if isinstance(shard, dict):
                 # map-side-combined payload: partial states + accounting
@@ -218,7 +257,7 @@ class PartitionWorker:
                "rows_seen": self.op.rows_seen, "elapsed_s": elapsed,
                "commit_s": t_ckpt - t_commit,
                "ckpt_s": t_end - t_ckpt,
-               "wait_s": wait_s,
+               "wait_s": wait_s, "load_s": load_s,
                "state_rows": state_rows, "state_bytes": state_bytes}
         if collect:
             out["emitted_rows"] = table
@@ -398,11 +437,14 @@ class StreamEngine:
                     f"{cpus:g} CPUs: {self.P} partition actors at "
                     f"{PARTITION_CPUS} CPU plus one {MAP_TASK_CPUS}-CPU map "
                     "task need more")
+            read_block = (None if self.combine else partial(
+                _own_rows, columns=self.shuffle_columns,
+                route=partial(route_rows, **self._route_kw())))
             workers = [
                 PartitionWorker.remote(
                     p, self.op_kind, self.op_kwargs, self.sink_root,
                     self.ckpt_root, self.sink_durable, self.late_root,
-                    self.failure_injection)
+                    self.failure_injection, read_block)
                 for p in range(self.P)
             ]
         start_epoch = 0
@@ -463,13 +505,13 @@ class StreamEngine:
             schedule = list(range(start_epoch, len(epochs)))
             if stop_after_epoch is not None:
                 schedule = [e for e in schedule if e <= stop_after_epoch]
-            split_cache: dict[int, list] = {}  # epoch -> per-part shard refs
+            split_cache: dict[int, list] = {}  # epoch -> per-part payloads
             for i, e in enumerate(schedule):
                 is_last = (stop_after_epoch is not None and e == stop_after_epoch)
                 cp = commit_partitions if is_last else None
                 wm_prev = wm_sched[e - 1] if e > 0 else MIN_TS
-                # prefetch shuffle-map tasks ahead of the actor pipeline so
-                # actors never stall waiting for a split (a window's
+                # dispatch epochs ahead of the actor pipeline so actors
+                # never stall waiting for a map task (a window's
                 # splits ARE the compute, so keep one epoch in flight per
                 # partition plus four)
                 prefetch = self.split_prefetch
@@ -479,7 +521,7 @@ class StreamEngine:
                 for ee in schedule[i:i + prefetch]:
                     if ee not in split_cache:
                         wp = wm_sched[ee - 1] if ee > 0 else MIN_TS
-                        split_cache[ee] = self._split_epoch(
+                        split_cache[ee] = self._dispatch_epoch(
                             epochs[ee], wm_prev=wp, ts_column=ts_column)
                 # per-actor message order serializes epochs per
                 # partition; keep a bounded in-flight window for
@@ -493,7 +535,7 @@ class StreamEngine:
                 # (the fixpoint-termination analog: the frontier empties)
                 wm_last = wm_sched[-1] if wm_sched else MIN_TS
                 inflight.append((len(epochs), self._launch_epoch(
-                    len(epochs), self._split_epoch(None), wm_last, END_WM,
+                    len(epochs), self._dispatch_epoch(None), wm_last, END_WM,
                     workers, collect, None)))
             drain(0)
         finally:
@@ -526,8 +568,29 @@ class StreamEngine:
                 ray.kill(w, no_restart=True)
             self._workers = None
 
-    def _split_epoch(self, source, wm_prev: int = MIN_TS,
-                     ts_column: str = "event_ts") -> list[list]:
+    def _route_kw(self) -> dict:
+        """The row operators' routing (:func:`partitioning.route_rows`)."""
+        return {"key_column": self.key_column, "num_partitions": self.P,
+                "salted_keys": self.salted_keys,
+                "join_broadcast_side": self.join_broadcast_side}
+
+    def _reads_inline(self, block) -> bool:
+        """Whether the partition actors read ``block`` themselves: only a
+        row operator's (a window's map task folds, which is real work
+        and shrinks what moves), and only while the P - 1 extra reads
+        cost less than a map task's hop (:data:`INLINE_READ_BYTES`).  A
+        fragment or Dataset block of unknown size goes to the task."""
+        if self.combine:
+            return False
+        nbytes = block.get("bytes") if isinstance(block, dict) else block.nbytes
+        return nbytes is not None and (self.P - 1) * nbytes <= INLINE_READ_BYTES
+
+    def _dispatch_epoch(self, source, wm_prev: int = MIN_TS,
+                        ts_column: str = "event_ts") -> list[list]:
+        """Each partition's list of payloads for one epoch: per block,
+        either the P object refs of one shuffle-map task or, for a small
+        row-operator block, the block's source itself (an in-memory
+        table is ``ray.put`` once and every actor gets the ref)."""
         per_part: list[list] = [[] for _ in range(self.P)]
         if source is None:
             return per_part
@@ -558,15 +621,18 @@ class StreamEngine:
                             num_partitions=self.P,
                             capture_late=self.late_root is not None)
         else:
-            split = partial(split_by_partition, key_column=self.key_column,
-                            num_partitions=self.P,
-                            salted_keys=self.salted_keys,
-                            join_broadcast_side=self.join_broadcast_side)
-        # stateless tasks on the CENTRAL queue, so Ray load-balances
-        # them across whatever cores the partition actors leave free
-        task = _split_block.options(num_cpus=MAP_TASK_CPUS, num_returns=self.P)
+            split = partial(split_by_partition, **self._route_kw())
         for b in blocks:
-            refs = task.remote(b, self.shuffle_columns, split)
+            if self._reads_inline(b):
+                src = b if isinstance(b, dict) else {"ref": ray.put(b)}
+                for part in per_part:
+                    part.append(src)
+                continue
+            # stateless tasks on the CENTRAL queue, so Ray load-balances
+            # them across whatever cores the partition actors leave free
+            refs = _split_block.options(
+                num_cpus=MAP_TASK_CPUS, num_returns=self.P).remote(
+                    b, self.shuffle_columns, split)
             for p, r in enumerate([refs] if self.P == 1 else refs):
                 per_part[p].append(r)
         return per_part

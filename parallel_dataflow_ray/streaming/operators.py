@@ -320,6 +320,13 @@ class SessionAggregateOp:
     under the SQL ``diff > gap`` break, however the rows are batched.  A
     session closes once the watermark is past its end (``end < wm``): a
     row at ``ts = end`` still extends it.
+
+    A row is late when its session can no longer change: when the
+    watermark already passed ``ts + gap``, or when ``ts`` is at or
+    before the end of a session of its key that already closed (the row
+    would overlap or touch an emitted session, and emitted rows are
+    final).  The closed end is kept per key until the watermark passes
+    ``end + gap``; from then on the first rule covers such rows.
     """
 
     def __init__(self, spec: StreamOpSpec, assigner: SessionWindows,
@@ -329,6 +336,8 @@ class SessionAggregateOp:
         self.ts_column = ts_column
         # key -> sorted list of [start, end, state_or_buffer]
         self.sessions: dict[Any, list[list]] = {}
+        #: key -> end of its last closed session (see the late rule)
+        self.closed_ends: dict[Any, int] = {}
         self.late_rows = 0
         self.rows_seen = 0
         self.capture_late = False           # dead-letter side output
@@ -348,7 +357,12 @@ class SessionAggregateOp:
         n = table.num_rows
         self.rows_seen += n
         ts = table[self.ts_column].cast(pa.int64()).to_numpy()
+        kcodes, kuniq = _key_codes(table, self.spec.key_column)
         late = wm_prev > ts + self.gap_us
+        if self.closed_ends:
+            ends = np.array([self.closed_ends.get(k, MIN_TS) for k in kuniq],
+                            dtype=np.int64)
+            late |= ts <= ends[kcodes]
         self.late_rows += int(late.sum())  # its session has already closed
         if self.capture_late and late.any():
             self._late_tbls.append(table.take(pa.array(np.nonzero(late)[0])))
@@ -356,8 +370,7 @@ class SessionAggregateOp:
         if keep.size == 0:
             return
         tbl = table.take(pa.array(keep))
-        ts = ts[keep]
-        kcodes, kuniq = _key_codes(tbl, self.spec.key_column)
+        ts, kcodes = ts[keep], kcodes[keep]
         order = np.lexsort((ts, kcodes))
         ts_s, kc_s = ts[order], kcodes[order]
         tbl_s = tbl.take(pa.array(order))
@@ -391,6 +404,7 @@ class SessionAggregateOp:
     def on_watermark(self, wm: int) -> pa.Table:
         out = []
         spec = self.spec
+        closed = self.closed_ends
         for key in list(self.sessions):
             remain = []
             for iv in self.sessions[key]:
@@ -399,12 +413,15 @@ class SessionAggregateOp:
                                       _close_state(spec, iv[2]))
                     if row is not None:
                         out.append(row)
+                    closed[key] = max(closed.get(key, MIN_TS), iv[1])
                 else:
                     remain.append(iv)
             if remain:
                 self.sessions[key] = remain
             else:
                 del self.sessions[key]
+        self.closed_ends = {k: e for k, e in closed.items()
+                            if wm <= e + self.gap_us}
         return pa.Table.from_pylist(out)
 
     def state_stats(self) -> tuple[int, int]:
@@ -413,13 +430,16 @@ class SessionAggregateOp:
         return len(ivs), sum(_state_nbytes(iv[2]) for iv in ivs)
 
     def snapshot(self) -> bytes:
-        return pickle.dumps({"sessions": self.sessions, "late_rows": self.late_rows,
-                             "rows_seen": self.rows_seen}, protocol=pickle.HIGHEST_PROTOCOL)
+        return pickle.dumps({"sessions": self.sessions,
+                             "closed_ends": self.closed_ends,
+                             "late_rows": self.late_rows,
+                             "rows_seen": self.rows_seen},
+                            protocol=pickle.HIGHEST_PROTOCOL)
 
     def restore(self, blob: bytes) -> None:
         d = pickle.loads(blob)
-        self.sessions, self.late_rows, self.rows_seen = (
-            d["sessions"], d["late_rows"], d["rows_seen"])
+        self.sessions, self.closed_ends = d["sessions"], d["closed_ends"]
+        self.late_rows, self.rows_seen = d["late_rows"], d["rows_seen"]
 
 
 class _Chunk:

@@ -58,15 +58,18 @@ def _salt_routes(key, n: int, num_partitions: int) -> np.ndarray:
             % np.uint64(num_partitions)).astype(np.int64)
 
 
-def split_by_partition(table: pa.Table, key_column: str, num_partitions: int,
-                       salted_keys: dict | None = None,
-                       join_broadcast_side: int | None = None
-                       ) -> list[pa.Table]:
-    """One pass split of an Arrow table into P sub-tables by key hash.
-
-    This is the map side of the engine's shuffle for the operators that
-    ship rows (join, session); it runs in the engine's stateless
-    shuffle-map task, one call per input block.
+def route_rows(table: pa.Table, key_column: str, num_partitions: int,
+               salted_keys: dict | None = None,
+               join_broadcast_side: int | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Where each row of a block goes: ``(row_idx, pids)``, one entry per
+    routed copy — every row once, then the extra copies of replicated
+    broadcast rows — so partition p's rows, in order, are
+    ``row_idx[pids == p]``.  The one routing function of the row
+    operators (join, session): the shuffle-map task splits a block with
+    it (:func:`split_by_partition`), and a partition actor that reads a
+    small block itself keeps its own rows with it, so both paths hand
+    partition p the same rows in the same order.
 
     ``salted_keys = {key: n_salts}`` with ``join_broadcast_side`` is the
     symmetric-join skew shape (the classic partial-replication /
@@ -85,45 +88,53 @@ def split_by_partition(table: pa.Table, key_column: str, num_partitions: int,
     codes, uniq = dictionary_codes(table[key_column])
     upids = partition_ids(uniq, num_partitions) if uniq else np.empty(0, np.int64)
     pids = upids[codes] if len(uniq) else np.empty(0, np.int64)
+    row_idx = np.arange(table.num_rows, dtype=np.int64)
+    if not salted_keys:
+        return row_idx, pids
+    if join_broadcast_side is None:
+        raise ValueError("a salted split needs join_broadcast_side: "
+                         "salting is the symmetric join's skew shape")
     extra_idx: list[np.ndarray] = []
     extra_pids: list[np.ndarray] = []
-    if salted_keys:
-        if join_broadcast_side is None:
-            raise ValueError("a salted split needs join_broadcast_side: "
-                             "salting is the symmetric join's skew shape")
-        offsets = table["offset"].to_numpy(zero_copy_only=False)
-        stream = table["__stream"].to_numpy(zero_copy_only=False)
-        uniq_pos = {k: i for i, k in enumerate(uniq)}
-        for k, n in salted_keys.items():
-            if k not in uniq_pos:
-                continue
-            mask = codes == uniq_pos[k]
-            if not mask.any():
-                continue
-            routes = _salt_routes(k, n, num_partitions)
-            m_salt = mask & (stream != join_broadcast_side)
-            if m_salt.any():
-                salt = (offsets[m_salt] % n).astype(np.int64)
-                pids[m_salt] = routes[salt]
-            m_bc = mask & (stream == join_broadcast_side)
-            if m_bc.any():
-                bidx = np.nonzero(m_bc)[0].astype(np.int64)
-                pids[m_bc] = routes[0]
-                for s in range(1, n):
-                    extra_idx.append(bidx)
-                    extra_pids.append(np.full(bidx.size, routes[s],
-                                              dtype=np.int64))
-    if extra_idx:
-        idx_all = np.concatenate(
-            [np.arange(table.num_rows, dtype=np.int64), *extra_idx])
-        pids_all = np.concatenate([pids, *extra_pids])
-    else:
-        idx_all = np.arange(table.num_rows, dtype=np.int64)
-        pids_all = pids
-    order = np.argsort(pids_all, kind="stable")
-    sorted_tbl = table.take(pa.array(idx_all[order]))
-    sorted_pids = pids_all[order]
-    bounds = np.searchsorted(sorted_pids, np.arange(num_partitions + 1))
+    offsets = table["offset"].to_numpy(zero_copy_only=False)
+    stream = table["__stream"].to_numpy(zero_copy_only=False)
+    uniq_pos = {k: i for i, k in enumerate(uniq)}
+    for k, n in salted_keys.items():
+        if k not in uniq_pos:
+            continue
+        mask = codes == uniq_pos[k]
+        routes = _salt_routes(k, n, num_partitions)
+        m_salt = mask & (stream != join_broadcast_side)
+        if m_salt.any():
+            salt = (offsets[m_salt] % n).astype(np.int64)
+            pids[m_salt] = routes[salt]
+        m_bc = mask & (stream == join_broadcast_side)
+        if m_bc.any():
+            bidx = np.nonzero(m_bc)[0].astype(np.int64)
+            pids[m_bc] = routes[0]
+            for s in range(1, n):
+                extra_idx.append(bidx)
+                extra_pids.append(np.full(bidx.size, routes[s],
+                                          dtype=np.int64))
+    if not extra_idx:
+        return row_idx, pids
+    return (np.concatenate([row_idx, *extra_idx]),
+            np.concatenate([pids, *extra_pids]))
+
+
+def split_by_partition(table: pa.Table, key_column: str, num_partitions: int,
+                       salted_keys: dict | None = None,
+                       join_broadcast_side: int | None = None
+                       ) -> list[pa.Table]:
+    """One pass split of an Arrow table into P sub-tables by key hash
+    (:func:`route_rows`, then one ``take`` in partition order, sliced
+    per partition): the shuffle-map body of the row operators' large
+    blocks."""
+    row_idx, pids = route_rows(table, key_column, num_partitions,
+                               salted_keys, join_broadcast_side)
+    order = np.argsort(pids, kind="stable")
+    sorted_tbl = table.take(pa.array(row_idx[order]))
+    bounds = np.searchsorted(pids[order], np.arange(num_partitions + 1))
     return [sorted_tbl.slice(bounds[p], bounds[p + 1] - bounds[p])
             for p in range(num_partitions)]
 
@@ -154,9 +165,11 @@ def parquet_epochs(dir_path: str, ts_column: str = "event_ts",
                    offset_column: str = "offset") -> list[dict]:
     """Frame a directory of parquet fragments as epochs using ONLY footer
     metadata: one epoch per file, ordered by the fragment's min offset
-    (arrival order).  The driver never touches row data — split tasks
-    read their fragment directly, so ingest bandwidth scales with the
-    cluster, not the driver.  This mirrors the production layout: an
+    (arrival order), with its decoded size (``bytes``, the row groups'
+    ``total_byte_size``) for the engine's per-block dispatch.  The
+    driver never touches row data — map tasks or partition actors read
+    the fragment directly, so ingest bandwidth scales with the cluster,
+    not the driver.  This mirrors the production layout: an
     epoch == a Lance/parquet fragment of the append-only stream log.
     """
     import os
@@ -172,8 +185,9 @@ def parquet_epochs(dir_path: str, ts_column: str = "event_ts",
         schema_names = [md.schema.column(i).name for i in range(md.num_columns)]
         ts_i = schema_names.index(ts_column)
         off_i = schema_names.index(offset_column)
-        max_ts, min_off = None, None
+        max_ts, min_off, nbytes = None, None, 0
         for rg in range(md.num_row_groups):
+            nbytes += md.row_group(rg).total_byte_size
             ts_stats = md.row_group(rg).column(ts_i).statistics
             off_stats = md.row_group(rg).column(off_i).statistics
             if ts_stats is None or off_stats is None:
@@ -186,6 +200,7 @@ def parquet_epochs(dir_path: str, ts_column: str = "event_ts",
             min_off = mo if min_off is None else min(min_off, mo)
         epochs.append({"path": path, "rows": md.num_rows,
                        "num_row_groups": md.num_row_groups,
+                       "bytes": nbytes,
                        "max_ts_us": int(max_ts), "min_offset": int(min_off)})
     epochs.sort(key=lambda e: e["min_offset"])
     return epochs
@@ -195,9 +210,9 @@ def dataset_epochs(ds, ts_column: str = "event_ts",
                    offset_column: str = "offset") -> list[dict]:
     """Frame a Ray Dataset's blocks as epochs WITHOUT materializing rows
     on the driver: block refs stay in the object store; one tiny stats
-    task per block extracts (rows, max_ts, min_offset) — all the driver
-    needs for the watermark schedule.  Map tasks ``ray.get`` their
-    block zero-copy.  Epochs are ordered by min offset (arrival order),
+    task per block extracts (rows, max_ts, min_offset, nbytes) — all the
+    driver needs for the watermark schedule and the per-block dispatch.
+    Map tasks or partition actors ``ray.get`` their block zero-copy.  Epochs are ordered by min offset (arrival order),
     so the framing is deterministic for a deterministically-ordered
     Dataset."""
     import ray
@@ -205,16 +220,17 @@ def dataset_epochs(ds, ts_column: str = "event_ts",
     @ray.remote(num_cpus=0)
     def _stats(t: pa.Table):
         if t.num_rows == 0:
-            return (0, None, None)
+            return (0, None, None, 0)
         import pyarrow.compute as _pc
         return (t.num_rows,
                 _pc.max(t[ts_column].cast(pa.int64())).as_py(),
-                _pc.min(t[offset_column]).as_py())
+                _pc.min(t[offset_column]).as_py(), t.nbytes)
 
     refs = ds.to_arrow_refs()
     stats = ray.get([_stats.remote(r) for r in refs])
-    epochs = [{"ref": r, "rows": n, "max_ts_us": int(mt), "min_offset": int(mo)}
-              for r, (n, mt, mo) in zip(refs, stats) if n]
+    epochs = [{"ref": r, "rows": n, "max_ts_us": int(mt),
+               "min_offset": int(mo), "bytes": nb}
+              for r, (n, mt, mo, nb) in zip(refs, stats) if n]
     epochs.sort(key=lambda e: e["min_offset"])
     return epochs
 

@@ -8,8 +8,8 @@ per-partition operator state to a new hash partitioning — Flink-style
 rescaling, rebuilt on this engine's own primitives:
 
 - every operator's state is keyed (window: ``(key, slice) -> state``;
-  session: ``key -> intervals``; join: Arrow chunks per side carrying
-  the key column), and the engine routes rows by ``partition_ids(key, P)`` —
+  session: ``key -> intervals`` and ``key -> closed end``; join: Arrow
+  chunks per side carrying the key column), and the engine routes rows by ``partition_ids(key, P)`` —
   so resharding = route every state entry by the NEW P and merge
   whatever lands together.
 - merges reuse the operators' OWN combine laws (``merge_states``:
@@ -84,9 +84,15 @@ def _reshard_session(snaps: list[dict], new_p: int, op_factory) -> list[dict]:
             for start, end, state in d["sessions"][key]:
                 # replay through the operator's own interval-union merge
                 ops[pid]._insert_interval(key, start, end, state)
+        # a key's closed-session end (the late rule) moves with its key
+        keys = list(d["closed_ends"])
+        for key, pid in zip(keys, _route(keys, new_p)):
+            end, ends = d["closed_ends"][key], ops[pid].closed_ends
+            ends[key] = max(ends.get(key, end), end)
     out = []
     for pid in range(new_p):
         out.append({"sessions": ops[pid].sessions,
+                    "closed_ends": ops[pid].closed_ends,
                     "late_rows": sum(d["late_rows"] for d in snaps)
                     if pid == 0 else 0,
                     "rows_seen": sum(d["rows_seen"] for d in snaps)

@@ -17,7 +17,7 @@ import pyarrow as pa
 import pytest
 
 from parallel_dataflow_ray.streaming import (
-    OracleExecutor, SessionWindows, StreamEngine)
+    ExactlyOnceSink, OracleExecutor, SessionWindows, StreamEngine)
 from parallel_dataflow_ray.streaming.kernels import KERNELS
 
 GAP = 100_000
@@ -97,3 +97,30 @@ def test_rows_gap_apart_share_a_session(epochs):
     assert sorted(engine_rows, key=_key) == want
     a = [r for r in want if r["key"] == "a"]
     assert (a[0]["window_start"], a[0]["window_end"]) == (T0, T0 + 2 * GAP)
+
+
+def test_emitted_session_is_not_reopened(tmp_path):
+    """A row at or before the end of a session its key already emitted
+    is late: epoch 0 closes a's ``[1000, 1100)`` at wm 1150, and a@1060
+    in epoch 1 would otherwise open ``[1060, 1160)`` over it."""
+    epochs = [_rows([("a", 1000 - T0), ("b", 1150 - T0)]),
+              _rows([("a", 1060 - T0)], offset0=2)]
+    kw = {"spec": KERNELS["clip_stats"](), "assigner": SessionWindows(100)}
+    oracle_rows, om = OracleExecutor("session", dict(kw),
+                                     capture_late=True).run(
+        epochs, final_flush=True)
+    res = StreamEngine("session", dict(kw), num_partitions=2,
+                       sink_root=str(tmp_path / "sink"),
+                       late_root=str(tmp_path / "late")).run(
+        epochs, final_flush=True)
+    engine_rows = ExactlyOnceSink.read_all(str(tmp_path / "sink")).to_pylist()
+    late = ExactlyOnceSink.read_all(str(tmp_path / "late")).to_pylist()
+    for rows in (oracle_rows, engine_rows):
+        a = [(r["window_start"], r["window_end"]) for r in rows
+             if r["key"] == "a"]
+        assert a == [(1000, 1100)]
+    assert om["late_rows"] == 1
+    assert om["late_table"].to_pylist() == late
+    assert [(r["speaker_id"], r["event_ts"]) for r in late] == [("a", 1060)]
+    last = {m["partition"]: m for m in res["metrics"]}
+    assert sum(m["late_rows"] for m in last.values()) == 1

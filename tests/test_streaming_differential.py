@@ -161,6 +161,22 @@ def test_session_window_parity(kernel):
         "session", {"spec": spec, "assigner": win}, table)
     assert oracle_rows == engine_rows
     assert len(oracle_rows) > 0
+    _assert_sessions_apart(oracle_rows)
+
+
+def _assert_sessions_apart(rows: list[dict]) -> None:
+    """No two emitted sessions of one key overlap or touch (a later one
+    starts after the earlier one's end), for the rows that carry their
+    session bounds."""
+    by_key: dict = {}
+    for r in rows:
+        if "key" in r and "window_end" in r:
+            by_key.setdefault(r["key"], []).append(
+                (r["window_start"], r["window_end"]))
+    for ivs in by_key.values():
+        ivs.sort()
+        for (_, end), (start, _) in zip(ivs, ivs[1:]):
+            assert end < start, ivs
 
 
 def test_buffered_snapshot_holds_run_copies():

@@ -15,7 +15,7 @@ round:
     refs, data moves through the object store, never the driver), and
     only those ship: the fold is real work and shrinks what moves.  A
     join's or session's block is only routed, not reduced, so a small
-    one (``(P - 1) x bytes <= INLINE_READ_BYTES``) skips the task: each
+    one (``bytes <= INLINE_READ_BYTES``) skips the task: each
     partition actor reads the block itself and keeps its own rows
     (:func:`partitioning.route_rows`; co-partitioning makes a
     partition's slice a pure function of the key).  A large one, or one
@@ -95,12 +95,16 @@ PARTITION_CPUS = 0.25
 #: another's compute
 MAP_TASK_CPUS = 0.75
 #: a join's or session's block is read by every partition actor itself,
-#: with no map task, when ``(P - 1) x block_bytes`` is at most this.
-#: The map task's hop costs ~11 ms of CPU per epoch (driver, raylet and
-#: task worker together, measured on a 4-core host), and parquet decodes
-#: at ~1.5 GB/s, so the P - 1 extra reads of a block cost less than the
-#: hop up to ~11 ms x 1.5 GB/s ~ 16 MB.
-INLINE_READ_BYTES = 16 * 2**20
+#: with no map task, when its decoded size is at most this.  The actor's
+#: read sits on its epoch's critical path, while a map task reads ahead
+#: on a free core.  Measured, not modelled, on a 4-core host (a payload
+#: join and an audio session over 10 parquet epochs, five interleaved
+#: pairs per point): at 1 MiB blocks the actor read tied the task in
+#: wall time (P = 1 and 2) and used 34-45 % less CPU; from 2 MiB at
+#: P = 1, 6.3 MiB at P = 2 and 8.4 MiB at P = 8 it took 7-67 % longer.
+#: The crossover moves with P and free cores (at P = 4 the actor read
+#: still won at 4 MiB), so this is the smallest one seen.
+INLINE_READ_BYTES = 3 * 2**19  # 1.5 MiB
 
 
 @ray.remote
@@ -577,13 +581,13 @@ class StreamEngine:
     def _reads_inline(self, block) -> bool:
         """Whether the partition actors read ``block`` themselves: only a
         row operator's (a window's map task folds, which is real work
-        and shrinks what moves), and only while the P - 1 extra reads
-        cost less than a map task's hop (:data:`INLINE_READ_BYTES`).  A
-        fragment or Dataset block of unknown size goes to the task."""
+        and shrinks what moves), and only a block of at most
+        :data:`INLINE_READ_BYTES`.  A fragment or Dataset block of
+        unknown size goes to the task."""
         if self.combine:
             return False
         nbytes = block.get("bytes") if isinstance(block, dict) else block.nbytes
-        return nbytes is not None and (self.P - 1) * nbytes <= INLINE_READ_BYTES
+        return nbytes is not None and nbytes <= INLINE_READ_BYTES
 
     def _dispatch_epoch(self, source, wm_prev: int = MIN_TS,
                         ts_column: str = "event_ts") -> list[list]:

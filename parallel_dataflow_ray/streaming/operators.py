@@ -438,7 +438,9 @@ class SessionAggregateOp:
 
     def restore(self, blob: bytes) -> None:
         d = pickle.loads(blob)
-        self.sessions, self.closed_ends = d["sessions"], d["closed_ends"]
+        # a snapshot written before ``closed_ends`` existed has none
+        self.sessions = d["sessions"]
+        self.closed_ends = d.get("closed_ends", {})
         self.late_rows, self.rows_seen = d["late_rows"], d["rows_seen"]
 
 

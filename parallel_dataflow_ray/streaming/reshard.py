@@ -85,9 +85,10 @@ def _reshard_session(snaps: list[dict], new_p: int, op_factory) -> list[dict]:
                 # replay through the operator's own interval-union merge
                 ops[pid]._insert_interval(key, start, end, state)
         # a key's closed-session end (the late rule) moves with its key
-        keys = list(d["closed_ends"])
+        closed = d.get("closed_ends", {})
+        keys = list(closed)
         for key, pid in zip(keys, _route(keys, new_p)):
-            end, ends = d["closed_ends"][key], ops[pid].closed_ends
+            end, ends = closed[key], ops[pid].closed_ends
             ends[key] = max(ends.get(key, end), end)
     out = []
     for pid in range(new_p):

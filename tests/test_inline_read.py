@@ -31,7 +31,7 @@ from parallel_dataflow_ray.streaming.partitioning import (
     dataset_epochs, epochs_from_table, parquet_epochs, route_rows,
     split_by_partition)
 
-#: INLINE_READ_BYTES per side: 0 sends every block of P > 1 to the map
+#: INLINE_READ_BYTES per side: 0 sends every non-empty block to the map
 #: task, a huge value lets the actors read every block
 SIDES = {"task": 0, "inline": 2**60}
 
@@ -121,6 +121,26 @@ def test_join_rescale(side, tmp_path):
     rescale.test_rescale_join_exactly_once(tmp_path)
 
 
+# -- the dispatch rule -------------------------------------------------------
+
+@pytest.mark.parametrize("P", [1, 2, 4, 8])
+def test_dispatch_follows_block_size(P):
+    """A row operator's block is read by the actors up to
+    ``INLINE_READ_BYTES`` whatever P; a larger block, one of unknown
+    size and every window block go to the map task."""
+    limit = engine_mod.INLINE_READ_BYTES
+    eng = StreamEngine("join", dict(JOIN_KW), num_partitions=P)
+    assert eng._reads_inline({"bytes": limit})
+    assert not eng._reads_inline({"bytes": limit + 1})
+    assert not eng._reads_inline({"bytes": None})
+    small = pa.table({"x": pa.array(np.zeros(8, np.int64))})
+    assert eng._reads_inline(small)
+    window = StreamEngine("window", {"spec": KERNELS["clip_stats"](),
+                                     "assigner": TumblingWindows(100_000)},
+                          num_partitions=P)
+    assert not window._reads_inline(small)
+
+
 # -- a small epoch launches no map task --------------------------------------
 
 def _no_map_task(*args, **kwargs):
@@ -128,11 +148,14 @@ def _no_map_task(*args, **kwargs):
 
 
 def _join_epochs() -> list[pa.Table]:
-    return epochs_from_table(join._merged(), 71)
+    # 40 rows of payload join are ~1 MiB, under INLINE_READ_BYTES
+    return epochs_from_table(join._merged(), 40)
 
 
 def _session_epochs() -> list[pa.Table]:
-    return epochs_from_table(fixtures.clips_table(300, seed=7), 50)
+    # 25 clips, audio included, are at most ~1.4 MiB, under
+    # INLINE_READ_BYTES
+    return epochs_from_table(fixtures.clips_table(300, seed=7), 25)
 
 
 JOIN_KW = dict(join.JOIN_KW)
@@ -161,6 +184,7 @@ def test_small_epoch_launches_no_map_task(op_kind, source, tmp_path,
     monkeypatch.setattr(engine_mod, "_split_block", _no_map_task)
     epochs, kw = ((_join_epochs(), JOIN_KW) if op_kind == "join"
                   else (_session_epochs(), SESSION_KW))
+    assert max(t.nbytes for t in epochs) <= engine_mod.INLINE_READ_BYTES
     want, _ = OracleExecutor(op_kind, dict(kw), 50_000).run(
         epochs, final_flush=True)
     res = StreamEngine(op_kind, dict(kw), num_partitions=3,

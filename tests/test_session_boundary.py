@@ -124,3 +124,27 @@ def test_emitted_session_is_not_reopened(tmp_path):
     assert [(r["speaker_id"], r["event_ts"]) for r in late] == [("a", 1060)]
     last = {m["partition"]: m for m in res["metrics"]}
     assert sum(m["late_rows"] for m in last.values()) == 1
+
+
+def test_snapshot_without_closed_ends_restores_and_reshards():
+    """A session snapshot written before the operator kept per-key
+    closed-session ends still restores and re-keys, with no such ends."""
+    import pickle
+
+    from parallel_dataflow_ray.streaming.operators import make_operator
+    from parallel_dataflow_ray.streaming.reshard import reshard_snapshots
+
+    kw = {"spec": KERNELS["clip_stats"](), "assigner": SessionWindows(GAP)}
+    op = make_operator("session", **kw)
+    op.apply(_rows([("a", 0), ("b", 40_000)]), wm_prev=0)
+    d = pickle.loads(op.snapshot())
+    del d["closed_ends"]
+    old = pickle.dumps(d)
+    fresh = make_operator("session", **kw)
+    fresh.restore(old)
+    assert fresh.closed_ends == {}
+    assert fresh.sessions.keys() == op.sessions.keys()
+    parts = [pickle.loads(b)
+             for b in reshard_snapshots("session", kw, [old], 3)]
+    assert all(p["closed_ends"] == {} for p in parts)
+    assert sorted(k for p in parts for k in p["sessions"]) == ["a", "b"]

@@ -27,7 +27,11 @@ and the directory fsynced after the rename, so ``LATEST`` never names a
 record whose files are not durable.
 
 A checkpoint for epoch ``e`` is taken only AFTER the sink committed
-epoch ``e`` (write-ahead output, state-behind).  On resume the engine
+epoch ``e`` (write-ahead output, state-behind).  Both run on the
+partition actor's single writer thread, sink commit first, while the
+actor already applies epoch ``e + 1`` (the snapshot itself is taken on
+the actor before it moves on), so a crash can leave epoch ``e``
+committed and not checkpointed, never the reverse.  On resume the engine
 restores every partition at ``resume_epoch = min_p(latest(p))`` and
 replays epochs ``> resume_epoch``; replayed emissions for epochs some
 partitions already committed are absorbed by the sink's idempotent

@@ -24,9 +24,14 @@ round:
 
   partition side — P long-lived partition actors merge their partials
     (or apply their row shards: join, session), close what the
-    (precomputed, input-deterministic) watermark passed, commit the
-    epoch to the exactly-once sink and checkpoint, all in one call
-    (``PartitionWorker.process_epoch``).
+    (precomputed, input-deterministic) watermark passed and snapshot
+    their state in one call (``PartitionWorker.process_epoch``).  The
+    epoch's exactly-once sink commit and checkpoint then run on the
+    actor's one writer thread, in that order, while the actor loads and
+    applies the next epoch (write-behind, after Carbone et al.'s
+    asynchronous snapshots): each call returns once the previous
+    epoch's writes are done, so at most one epoch's are in flight, and
+    ``run`` flushes every writer before it returns.
 
 Unlike the reference, whose merge phase is single-threaded and is
 explicitly called out as the bottleneck (``blog/blog.md:47``), both
@@ -88,7 +93,9 @@ def _load_block(source, columns: list | None):
 
 
 #: logical CPUs per partition actor: light, since map tasks do the
-#: row-proportional work
+#: row-proportional work.  The writer thread needs no more: its sink
+#: commits and checkpoints are mostly Arrow encoding and file I/O, which
+#: run without the GIL
 PARTITION_CPUS = 0.25
 #: logical CPUs per shuffle-map task: fractional so the task count mildly
 #: oversubscribes the free cores, hiding one task's read behind
@@ -132,7 +139,8 @@ def _own_rows(source, partition: int, columns: list | None, route):
 
 @ray.remote(num_cpus=PARTITION_CPUS)
 class PartitionWorker:
-    """One hash partition's stateful executor: operator + sink + ckpt."""
+    """One hash partition's stateful executor: operator + sink + ckpt,
+    and one writer thread that persists each epoch behind the next."""
 
     def __init__(self, partition: int, op_kind: str, op_kwargs: dict,
                  sink_root: str | None, ckpt_root: str | None,
@@ -146,15 +154,22 @@ class PartitionWorker:
         #: None for windows, whose blocks always go to the map task)
         self._read_block = read_block
         #: test-only one-shot fault: hard-exit this actor at (partition,
-        #: epoch) unless the marker file already records the kill
+        #: epoch) unless the marker file already records the kill; at the
+        #: epoch's start, or with ``"step": "write"`` on the writer
+        #: thread between the epoch's sink commit and its checkpoint
         self._fail_at = fail_at
         self.partition = partition
         self.op_kind = op_kind
         self._op_kwargs = op_kwargs
         self._sink_durable = sink_durable
+        #: the writer (one thread, made on first use) and the future of
+        #: the last epoch handed to it
+        self._writer = None
+        self._pending = None
         self.reset(sink_root, ckpt_root, late_root)
 
     def restore(self, epoch: int) -> int:
+        self.flush()
         d = self.ckpt.load(epoch)
         self.op.restore(d["op"])
         self.max_offset = d["max_offset"]
@@ -164,6 +179,7 @@ class PartitionWorker:
         """Re-read sink manifests from disk — required after a rescaled
         resume revokes epochs (the actor cached the manifest at
         construction, before the revoke rewrote it)."""
+        self.flush()
         if self.sink is not None:
             self.sink.manifest = self.sink._load_manifest()
         if self.late_sink is not None:
@@ -174,6 +190,7 @@ class PartitionWorker:
         """Fresh stream: build operator state and point the sink,
         dead-letter sink and checkpoint store at their roots (also run
         on a warm process between streams)."""
+        self.flush()
         self.op = make_operator(self.op_kind, **self._op_kwargs)
         self.sink = (ExactlyOnceSink(sink_root, self.partition,
                                      durable=self._sink_durable)
@@ -190,27 +207,43 @@ class PartitionWorker:
                      if ckpt_root else None)
         self.max_offset = -1
 
+    def _fault(self, epoch: int, step: str) -> None:
+        """Fire the test-only fault if it is set for this (epoch, step)."""
+        fa = self._fail_at
+        if (fa is None or fa.get("step", "start") != step
+                or (self.partition, epoch) != (fa["partition"], fa["epoch"])):
+            return
+        import os as _os
+        if _os.path.exists(fa["marker"]):
+            return
+        if step == "start":
+            self.flush()    # every epoch before this one is durable
+        with open(fa["marker"], "w") as f:
+            f.write("killed")
+        _os._exit(1)        # simulate an abrupt actor loss
+
     def process_epoch(self, epoch: int, wm_prev: int, wm: int, shards: list,
                       *, checkpoint: bool, collect: bool,
                       commit: bool = True) -> dict:
         """One epoch on this partition: merge partials or apply row
         shards, close what ``wm`` passed, order the emitted table with
-        one Arrow sort, commit it idempotently, checkpoint.  Actor
+        one Arrow sort, then hand its sink commits and checkpoint to the
+        writer thread and return once the PREVIOUS epoch's are done —
+        epoch e's writes overlap epoch e+1's load and apply.  Actor
         message order keeps each partition's epochs in order, so the
-        driver pipelines epochs without a barrier.  The metrics row
-        carries the live state (``state_rows``, ``state_bytes``) after
-        the epoch, the wait for map-task payloads (``wait_s``) and the
-        actor's own read and routing of small blocks (``load_s``, 0 when
-        every block went to a map task)."""
-        if (self._fail_at is not None
-                and self.partition == self._fail_at["partition"]
-                and epoch == self._fail_at["epoch"]):
-            import os as _os
-            marker = self._fail_at["marker"]
-            if not _os.path.exists(marker):
-                with open(marker, "w") as f:
-                    f.write("killed")
-                _os._exit(1)        # simulate an abrupt actor loss
+        driver pipelines epochs without a barrier.
+
+        The metrics row carries the actor's own time (``elapsed_s``:
+        ingest, close, order and the snapshot), the live state
+        (``state_rows``, ``state_bytes``) after the epoch, the wait for
+        map-task payloads (``wait_s``), the actor's own read and routing
+        of small blocks (``load_s``, 0 when every block went to a map
+        task) and the wait for the previous epoch's writes
+        (``persist_wait_s``).  Its ``commit_s`` and ``ckpt_s`` are timed
+        on the writer and arrive later: ``persisted`` is the previous
+        job's ``(epoch, commit_s, ckpt_s)`` (None if there was none),
+        and :meth:`flush` returns the last one."""
+        self._fault(epoch, "start")
         t0 = self._time.perf_counter()
         # map-task payloads arrive as ObjectRefs inside a list
         # (deliberately NOT top-level args, so Ray does not copy them into
@@ -239,33 +272,65 @@ class PartitionWorker:
                 self.op.apply(shard, wm_prev)
         table = self.op.on_watermark(wm)
         table = canonical_order(table) if table.num_rows else None
-        t_commit = self._time.perf_counter()
-        elapsed = t_commit - t0
-        if self.sink is not None and commit:
-            self.sink.commit(epoch, table, watermark=wm,
-                             max_offset=self.max_offset, elapsed_s=elapsed)
-        if self.late_sink is not None and commit:
-            self.late_sink.commit(epoch, self.op.take_late(), watermark=wm,
-                                  max_offset=self.max_offset,
-                                  elapsed_s=elapsed)
-        t_ckpt = self._time.perf_counter()
-        if self.ckpt is not None and checkpoint and commit:
-            self.ckpt.save(epoch, self.op.snapshot(), wm, self.max_offset)
-        t_end = self._time.perf_counter()
-        # elapsed_s is ingest + close + emit; the sink commits and the
-        # checkpoint (fsync included) are timed on their own
+        # the state moves on in the next epoch, so what the writer
+        # persists (late rows, snapshot) is taken here, on this thread
+        late = (self.op.take_late()
+                if commit and self.late_sink is not None else None)
+        snap = (self.op.snapshot()
+                if commit and checkpoint and self.ckpt is not None else None)
+        elapsed = self._time.perf_counter() - t0
+        prev, self._pending = self._pending, None
+        if commit and (self.sink is not None or self.late_sink is not None
+                       or snap is not None):
+            if self._writer is None:
+                from concurrent.futures import ThreadPoolExecutor
+                self._writer = ThreadPoolExecutor(max_workers=1)
+            self._pending = self._writer.submit(
+                self._persist, epoch, table, late, snap, wm,
+                self.max_offset, elapsed)
+        t_wait = self._time.perf_counter()
+        persisted = prev.result() if prev is not None else None
+        persist_wait_s = self._time.perf_counter() - t_wait
         state_rows, state_bytes = self.op.state_stats()
         out = {"partition": self.partition, "epoch": epoch,
                "emitted": table.num_rows if table is not None else 0,
                "late_rows": self.op.late_rows,
                "rows_seen": self.op.rows_seen, "elapsed_s": elapsed,
-               "commit_s": t_ckpt - t_commit,
-               "ckpt_s": t_end - t_ckpt,
+               "commit_s": 0.0, "ckpt_s": 0.0,
                "wait_s": wait_s, "load_s": load_s,
-               "state_rows": state_rows, "state_bytes": state_bytes}
+               "persist_wait_s": persist_wait_s,
+               "state_rows": state_rows, "state_bytes": state_bytes,
+               "persisted": persisted}
         if collect:
             out["emitted_rows"] = table
         return out
+
+    def _persist(self, epoch, table, late, snap, wm, max_offset,
+                 elapsed) -> tuple[int, float, float]:
+        """The writer's job for one epoch, in the write-ahead order: sink
+        commit, dead-letter commit, then checkpoint.  Returns ``(epoch,
+        commit_s, ckpt_s)``.  The sinks and the store are only swapped
+        (:meth:`reset`) after a :meth:`flush`."""
+        t0 = self._time.perf_counter()
+        if self.sink is not None:
+            self.sink.commit(epoch, table, watermark=wm,
+                             max_offset=max_offset, elapsed_s=elapsed)
+        if self.late_sink is not None:
+            self.late_sink.commit(epoch, late, watermark=wm,
+                                  max_offset=max_offset, elapsed_s=elapsed)
+        commit_s = self._time.perf_counter() - t0
+        self._fault(epoch, "write")
+        if snap is None:
+            return epoch, commit_s, 0.0
+        t0 = self._time.perf_counter()
+        self.ckpt.save(epoch, snap, wm, max_offset)
+        return epoch, commit_s, self._time.perf_counter() - t0
+
+    def flush(self) -> tuple[int, float, float] | None:
+        """Wait for the writer's last job: its ``(epoch, commit_s,
+        ckpt_s)``, or None if every epoch was already handed back."""
+        fut, self._pending = self._pending, None
+        return fut.result() if fut is not None else None
 
 
 class StreamEngine:
@@ -322,7 +387,9 @@ class StreamEngine:
         self.max_recoveries = max_recoveries
         #: test-only deterministic fault: {"partition": p, "epoch": e,
         #: "marker": path} — that partition's actor hard-exits once at
-        #: that epoch (the marker file makes the injection one-shot)
+        #: that epoch's start (the marker file makes the injection
+        #: one-shot); with "step": "write", on its writer thread between
+        #: the epoch's sink commit and its checkpoint
         self.failure_injection = failure_injection
         self.salted_keys = dict(salted_keys) if salted_keys else None
         if self.salted_keys and self.op_kind != "join":
@@ -497,13 +564,14 @@ class StreamEngine:
                     start_epoch = re + 1
 
         per_epoch_emitted: list[list[dict]] = []
-        metrics: list[dict] = []
+        #: one metrics row per (partition, epoch), in absorb order
+        ledger: dict[tuple[int, int], dict] = {}
         inflight: list[tuple[int, list]] = []  # pipelined (epoch, futures)
 
         def drain(upto: int) -> None:
             while len(inflight) > upto:
                 _, fs = inflight.pop(0)
-                self._absorb(ray.get(fs), collect, per_epoch_emitted, metrics)
+                self._absorb(ray.get(fs), collect, per_epoch_emitted, ledger)
 
         try:
             schedule = list(range(start_epoch, len(epochs)))
@@ -541,7 +609,13 @@ class StreamEngine:
                 inflight.append((len(epochs), self._launch_epoch(
                     len(epochs), self._dispatch_epoch(None), wm_last, END_WM,
                     workers, collect, None)))
+            # each writer's last epoch: run() returns only once every
+            # epoch is committed and checkpointed (a flush queues behind
+            # its actor's epochs)
+            flushes = [w.flush.remote() for w in workers]
             drain(0)
+            for p, done in enumerate(ray.get(flushes)):
+                self._settle(ledger, p, done)
         finally:
             if self.keep_workers:
                 self._workers = workers
@@ -549,7 +623,7 @@ class StreamEngine:
                 for w in workers:
                     ray.kill(w, no_restart=True)
         return {"emitted": per_epoch_emitted if collect else None,
-                "metrics": metrics, "start_epoch": start_epoch,
+                "metrics": list(ledger.values()), "start_epoch": start_epoch,
                 "watermarks": wm_sched}
 
     def reset_state(self, new_sink_root: str | None = None,
@@ -581,12 +655,20 @@ class StreamEngine:
     def _reads_inline(self, block) -> bool:
         """Whether the partition actors read ``block`` themselves: only a
         row operator's (a window's map task folds, which is real work
-        and shrinks what moves), and only a block of at most
-        :data:`INLINE_READ_BYTES`.  A fragment or Dataset block of
-        unknown size goes to the task."""
+        and shrinks what moves), and only a block whose columns the
+        actors read (``shuffle_columns`` plus ``__stream``; every column
+        when unset) decode to at most :data:`INLINE_READ_BYTES`.  A
+        fragment or Dataset block of unknown size goes to the task."""
         if self.combine:
             return False
-        nbytes = block.get("bytes") if isinstance(block, dict) else block.nbytes
+        if isinstance(block, pa.Table):
+            per = {c: block[c].nbytes for c in block.column_names}
+            nbytes = block.nbytes
+        else:
+            per, nbytes = block.get("column_bytes"), block.get("bytes")
+        cols = self.shuffle_columns
+        if cols and per:
+            nbytes = sum(per.get(c, 0) for c in {*cols, "__stream"})
         return nbytes is not None and nbytes <= INLINE_READ_BYTES
 
     def _dispatch_epoch(self, source, wm_prev: int = MIN_TS,
@@ -652,13 +734,25 @@ class StreamEngine:
                 collect=collect, commit=commit))
         return futs
 
-    def _absorb(self, results, collect, per_epoch_emitted, metrics) -> None:
-        metrics.extend({k: v for k, v in r.items() if k != "emitted_rows"}
-                       for r in results)
+    def _absorb(self, results, collect, per_epoch_emitted, ledger) -> None:
+        for r in results:
+            persisted = r.pop("persisted")
+            ledger[r["partition"], r["epoch"]] = {
+                k: v for k, v in r.items() if k != "emitted_rows"}
+            self._settle(ledger, r["partition"], persisted)
         if collect:
             table = concat_nonempty([r["emitted_rows"] for r in results
                                     if r.get("emitted_rows") is not None])
             per_epoch_emitted.append(canonical_order(table).to_pylist())
+
+    @staticmethod
+    def _settle(ledger, partition: int, persisted) -> None:
+        """Put a writer job's ``(epoch, commit_s, ckpt_s)`` on the
+        metrics row of that (partition, epoch)."""
+        if persisted is not None:
+            epoch, commit_s, ckpt_s = persisted
+            ledger[partition, epoch].update(commit_s=commit_s,
+                                            ckpt_s=ckpt_s)
 
     @staticmethod
     def _blocks(table: pa.Table, target_rows: int = 8192) -> list[pa.Table]:

@@ -165,8 +165,10 @@ def parquet_epochs(dir_path: str, ts_column: str = "event_ts",
                    offset_column: str = "offset") -> list[dict]:
     """Frame a directory of parquet fragments as epochs using ONLY footer
     metadata: one epoch per file, ordered by the fragment's min offset
-    (arrival order), with its decoded size (``bytes``, the row groups'
-    ``total_byte_size``) for the engine's per-block dispatch.  The
+    (arrival order), with its decoded size for the engine's per-block
+    dispatch: ``bytes`` (the row groups' ``total_byte_size``) and
+    ``column_bytes`` (each top-level column's chunks'
+    ``total_uncompressed_size``, which add up to ``bytes``).  The
     driver never touches row data — map tasks or partition actors read
     the fragment directly, so ingest bandwidth scales with the cluster,
     not the driver.  This mirrors the production layout: an
@@ -185,9 +187,15 @@ def parquet_epochs(dir_path: str, ts_column: str = "event_ts",
         schema_names = [md.schema.column(i).name for i in range(md.num_columns)]
         ts_i = schema_names.index(ts_column)
         off_i = schema_names.index(offset_column)
+        tops = [md.schema.column(i).path.split(".")[0]
+                for i in range(md.num_columns)]
         max_ts, min_off, nbytes = None, None, 0
+        col_bytes = dict.fromkeys(tops, 0)
         for rg in range(md.num_row_groups):
             nbytes += md.row_group(rg).total_byte_size
+            for i, top in enumerate(tops):
+                col_bytes[top] += md.row_group(rg).column(
+                    i).total_uncompressed_size
             ts_stats = md.row_group(rg).column(ts_i).statistics
             off_stats = md.row_group(rg).column(off_i).statistics
             if ts_stats is None or off_stats is None:
@@ -200,7 +208,7 @@ def parquet_epochs(dir_path: str, ts_column: str = "event_ts",
             min_off = mo if min_off is None else min(min_off, mo)
         epochs.append({"path": path, "rows": md.num_rows,
                        "num_row_groups": md.num_row_groups,
-                       "bytes": nbytes,
+                       "bytes": nbytes, "column_bytes": col_bytes,
                        "max_ts_us": int(max_ts), "min_offset": int(min_off)})
     epochs.sort(key=lambda e: e["min_offset"])
     return epochs
@@ -240,7 +248,10 @@ def load_epoch(source, columns: list | None = None) -> pa.Table:
     or parquet fragment descriptor — optionally a row-group range of the
     fragment via ``rg_start``/``rg_count``).  ``columns`` prunes the
     PHYSICAL read for fragment sources (only those column chunks leave
-    storage); in-memory sources are returned as-is (the caller selects)."""
+    storage); in-memory sources are returned as-is (the caller selects).
+    A fragment is read on the calling thread (``use_threads=False``):
+    every reader is already one of several actors or map tasks running
+    side by side, so Arrow's own pool would only add contention."""
     if isinstance(source, pa.Table):
         return source
     if "ref" in source:
@@ -257,8 +268,8 @@ def load_epoch(source, columns: list | None = None) -> pa.Table:
     if "rg_start" in source:
         groups = list(range(source["rg_start"],
                             source["rg_start"] + source["rg_count"]))
-        return pf.read_row_groups(groups, columns=cols)
-    return pf.read(columns=cols)
+        return pf.read_row_groups(groups, columns=cols, use_threads=False)
+    return pf.read(columns=cols, use_threads=False)
 
 
 def interleave_streams(left: pa.Table, right: pa.Table) -> pa.Table:

@@ -198,3 +198,71 @@ def _gc_and_resume(tmp_path, eng, epochs, oracle):
     res = eng().run(epochs)
     assert res["start_epoch"] > 0
     assert _sink_rows(tmp_path / "sink") == oracle
+
+
+# -- write-behind: each epoch's commit and checkpoint run on the actor's
+# writer thread while the next epoch loads and applies ----------------------
+
+def _lineage_pairs(root) -> set[tuple[int, int]]:
+    lin = ExactlyOnceSink.lineage(str(root))
+    pairs = {(r["partition"], r["epoch"]) for r in lin}
+    assert len(pairs) == len(lin)           # no pair committed twice
+    return pairs
+
+
+def test_ledger_rows_carry_writer_times(tmp_path):
+    """Every (partition, epoch) row gets the commit and checkpoint times
+    its writer measured, the end-of-stream flush epoch included, plus
+    how long the epoch waited for the previous epoch's writes."""
+    epochs = epochs_from_table(_table(), EPOCH_ROWS)
+    res = _engine(tmp_path, win=SLIDE).run(epochs, final_flush=True)
+    rows = res["metrics"]
+    assert [(m["partition"], m["epoch"]) for m in rows] == [
+        (p, e) for e in range(len(epochs) + 1) for p in range(P)]
+    for m in rows:
+        assert "persisted" not in m
+        assert m["persist_wait_s"] >= 0, m
+        assert m["commit_s"] > 0, m       # every epoch writes its manifest
+        # checkpoint epochs (interval 2) are timed; the others write none
+        assert (m["ckpt_s"] > 0) == (m["epoch"] % 2 == 1), m
+    final = [m for m in rows if m["epoch"] == len(epochs)]
+    assert any(m["emitted"] for m in final)
+
+
+@pytest.mark.parametrize("partial", [False, True],
+                         ids=["clean-stop", "partial-commit"])
+def test_run_returns_after_every_commit(tmp_path, partial):
+    """Right after ``run`` returns, the sink's lineage holds exactly the
+    (partition, epoch) pairs the call committed: no epoch is still on a
+    writer thread."""
+    epochs = epochs_from_table(_table(), EPOCH_ROWS)
+    k = len(epochs) // 2
+    cp = {0, 2} if partial else None
+    _engine(tmp_path).run(epochs, stop_after_epoch=k, commit_partitions=cp)
+    want = {(p, e) for p in range(P) for e in range(k)}
+    want |= {(p, k) for p in (cp if partial else range(P))}
+    assert _lineage_pairs(tmp_path / "sink") == want
+
+
+def test_persistent_pool_streams_do_not_share_writes(tmp_path):
+    """On a ``keep_workers`` pool, two streams with ``reset_state``
+    between them give identical sinks, and each is complete when its
+    ``run`` returns (perfbench's pattern): the writer carries no epoch
+    over into the next stream."""
+    epochs = epochs_from_table(_table(), EPOCH_ROWS)
+    eng = _engine(tmp_path, win=SLIDE)
+    eng.keep_workers = True
+    sinks = []
+    try:
+        for i in range(2):
+            if i:   # the pool exists from the first run on
+                eng.reset_state(new_sink_root=str(tmp_path / f"sink{i}"),
+                                new_ckpt_root=str(tmp_path / f"ckpt{i}"))
+            eng.run(epochs, final_flush=True)
+            sink = eng.sink_root
+            assert _lineage_pairs(sink) == {
+                (p, e) for p in range(P) for e in range(len(epochs) + 1)}
+            sinks.append(_sink_rows(sink))
+    finally:
+        eng.close()
+    assert sinks[0] == sinks[1] == _oracle_rows(win=SLIDE, flush=True)

@@ -219,3 +219,33 @@ def test_load_s_within_elapsed(side, op_kind):
         assert m["wait_s"] + m["load_s"] <= m["elapsed_s"], m
     inline = side == "inline" and op_kind != "window"
     assert (sum(m["load_s"] for m in rows) > 0) == inline
+
+
+# -- a block is sized by the columns the actors read -------------------------
+
+@pytest.mark.parametrize("source", ["table", "fragment"])
+def test_block_sized_by_columns_read(source, tmp_path, monkeypatch):
+    """A ``clip_stats`` session reads ``dur_ms`` and ``sr_hz`` (plus key,
+    time and offset), not the audio: its 50-clip epochs are over
+    ``INLINE_READ_BYTES`` in all columns but far under in the ones read,
+    so the actors read them and no map task starts."""
+    epochs = epochs_from_table(fixtures.clips_table(300, seed=7), 50)
+    assert min(t.nbytes for t in epochs) > engine_mod.INLINE_READ_BYTES
+    sources = _sources(source, epochs, tmp_path)
+    if source == "fragment":
+        assert all(sum(s["column_bytes"].values()) == s["bytes"]
+                   for s in sources)
+        assert min(s["bytes"] for s in sources) \
+            > engine_mod.INLINE_READ_BYTES
+    monkeypatch.setattr(engine_mod, "_split_block", _no_map_task)
+    want, _ = OracleExecutor("session", dict(SESSION_KW), 50_000).run(
+        epochs, final_flush=True)
+    res = StreamEngine("session", dict(SESSION_KW), num_partitions=3,
+                       allowed_lateness_us=50_000,
+                       sink_root=str(tmp_path / "sink")).run(
+        sources, final_flush=True)
+    assert want
+    assert canonical_sort(ExactlyOnceSink.read_all(
+        str(tmp_path / "sink"))) == canonical_sort(want)
+    assert all(m["load_s"] > 0 for m in res["metrics"]
+               if m["epoch"] < len(epochs))

@@ -31,9 +31,11 @@ epoch ``e`` (write-ahead output, state-behind).  Both run on the
 partition actor's single writer thread, sink commit first, while the
 actor already applies epoch ``e + 1`` (the snapshot itself is taken on
 the actor before it moves on), so a crash can leave epoch ``e``
-committed and not checkpointed, never the reverse.  On resume the engine
-restores every partition at ``resume_epoch = min_p(latest(p))`` and
-replays epochs ``> resume_epoch``; replayed emissions for epochs some
+committed and not checkpointed, never the reverse.  A commit that
+raises stops the partition: no later epoch is committed or
+checkpointed.  On resume the engine restores every partition at
+``resume_epoch = min_p(latest(p))`` and replays epochs
+``> resume_epoch``; replayed emissions for epochs some
 partitions already committed are absorbed by the sink's idempotent
 commit.  Replay produces identical emissions because operator update /
 merge are deterministic functions of (restored state, epoch rows,

@@ -29,9 +29,10 @@ round:
     epoch's exactly-once sink commit and checkpoint then run on the
     actor's one writer thread, in that order, while the actor loads and
     applies the next epoch (write-behind, after Carbone et al.'s
-    asynchronous snapshots): each call returns once the previous
-    epoch's writes are done, so at most one epoch's are in flight, and
-    ``run`` flushes every writer before it returns.
+    asynchronous snapshots): each call waits for the previous epoch's
+    writes before it queues its own, so at most one epoch's are in
+    flight and a failed commit stops the partition before any later
+    checkpoint; ``run`` flushes every writer before it returns.
 
 Unlike the reference, whose merge phase is single-threaded and is
 explicitly called out as the bottleneck (``blog/blog.md:47``), both
@@ -78,12 +79,12 @@ from .operators import combine_window_block, concat_nonempty, make_operator
 END_WM = 2**62
 
 
-def _load_block(source, columns: list | None):
+def _load_block(source, columns: list | None, use_threads: bool = True):
     """One input block — an in-memory table, a block ref, or a parquet
     fragment descriptor, read HERE, so ingest I/O scales with the
     cluster — pruned to ``columns`` (plus ``__stream`` when present)."""
     cols = list(columns) + ["__stream"] if columns else None
-    table = load_epoch(source, columns=cols)
+    table = load_epoch(source, columns=cols, use_threads=use_threads)
     if columns:
         keep = [c for c in columns if c in table.column_names]
         if "__stream" in table.column_names:
@@ -131,8 +132,12 @@ def _own_rows(source, partition: int, columns: list | None, route):
     """A partition actor's read of a small row-operator block: load it
     (pruned to ``columns``), route it (``route``, a bound
     :func:`partitioning.route_rows`) and copy out only this partition's
-    rows — the rows, in the order, the map task's shard would hold."""
-    table = _load_block(source, columns)
+    rows — the rows, in the order, the map task's shard would hold.
+    The block is read on the actor's own thread: all P actors read it
+    side by side, beside their writer threads, so Arrow's pool would
+    only add contention (a map task, which reads larger blocks ahead
+    of the actors, keeps Arrow's threads)."""
+    table = _load_block(source, columns, use_threads=False)
     row_idx, pids = route(table)
     return table.take(pa.array(row_idx[pids == partition]))
 
@@ -166,10 +171,14 @@ class PartitionWorker:
         #: the last epoch handed to it
         self._writer = None
         self._pending = None
+        #: a writer job's error: once set, every later epoch and flush
+        #: raises it, so nothing is committed or checkpointed past an
+        #: epoch whose output was lost, until reset or restore
+        self._failed = None
         self.reset(sink_root, ckpt_root, late_root)
 
     def restore(self, epoch: int) -> int:
-        self.flush()
+        self._discard_writes()
         d = self.ckpt.load(epoch)
         self.op.restore(d["op"])
         self.max_offset = d["max_offset"]
@@ -190,7 +199,7 @@ class PartitionWorker:
         """Fresh stream: build operator state and point the sink,
         dead-letter sink and checkpoint store at their roots (also run
         on a warm process between streams)."""
-        self.flush()
+        self._discard_writes()
         self.op = make_operator(self.op_kind, **self._op_kwargs)
         self.sink = (ExactlyOnceSink(sink_root, self.partition,
                                      durable=self._sink_durable)
@@ -227,11 +236,13 @@ class PartitionWorker:
                       commit: bool = True) -> dict:
         """One epoch on this partition: merge partials or apply row
         shards, close what ``wm`` passed, order the emitted table with
-        one Arrow sort, then hand its sink commits and checkpoint to the
-        writer thread and return once the PREVIOUS epoch's are done —
-        epoch e's writes overlap epoch e+1's load and apply.  Actor
-        message order keeps each partition's epochs in order, so the
-        driver pipelines epochs without a barrier.
+        one Arrow sort, wait for the PREVIOUS epoch's writes, then hand
+        this epoch's sink commits and checkpoint to the writer thread and
+        return — epoch e's writes overlap epoch e+1's load and apply.  A
+        failed write raises here and in every later call, so no epoch
+        after it is committed or checkpointed.  Actor message order keeps
+        each partition's epochs in order, so the driver pipelines epochs
+        without a barrier.
 
         The metrics row carries the actor's own time (``elapsed_s``:
         ingest, close, order and the snapshot), the live state
@@ -243,6 +254,8 @@ class PartitionWorker:
         on the writer and arrive later: ``persisted`` is the previous
         job's ``(epoch, commit_s, ckpt_s)`` (None if there was none),
         and :meth:`flush` returns the last one."""
+        if self._failed is not None:
+            raise self._failed
         self._fault(epoch, "start")
         t0 = self._time.perf_counter()
         # map-task payloads arrive as ObjectRefs inside a list
@@ -279,7 +292,11 @@ class PartitionWorker:
         snap = (self.op.snapshot()
                 if commit and checkpoint and self.ckpt is not None else None)
         elapsed = self._time.perf_counter() - t0
-        prev, self._pending = self._pending, None
+        # the previous epoch's writes must have succeeded before this
+        # epoch's are queued: a failed commit leaves no later checkpoint
+        t_wait = self._time.perf_counter()
+        persisted = self.flush()
+        persist_wait_s = self._time.perf_counter() - t_wait
         if commit and (self.sink is not None or self.late_sink is not None
                        or snap is not None):
             if self._writer is None:
@@ -288,9 +305,6 @@ class PartitionWorker:
             self._pending = self._writer.submit(
                 self._persist, epoch, table, late, snap, wm,
                 self.max_offset, elapsed)
-        t_wait = self._time.perf_counter()
-        persisted = prev.result() if prev is not None else None
-        persist_wait_s = self._time.perf_counter() - t_wait
         state_rows, state_bytes = self.op.state_stats()
         out = {"partition": self.partition, "epoch": epoch,
                "emitted": table.num_rows if table is not None else 0,
@@ -328,9 +342,25 @@ class PartitionWorker:
 
     def flush(self) -> tuple[int, float, float] | None:
         """Wait for the writer's last job: its ``(epoch, commit_s,
-        ckpt_s)``, or None if every epoch was already handed back."""
+        ckpt_s)``, or None if every epoch was already handed back.
+        Raises the error of a failed job, now and on every later call."""
+        if self._failed is not None:
+            raise self._failed
         fut, self._pending = self._pending, None
-        return fut.result() if fut is not None else None
+        try:
+            return fut.result() if fut is not None else None
+        except Exception as exc:
+            self._failed = exc
+            raise
+
+    def _discard_writes(self) -> None:
+        """Let the writer finish and forget its result or error: the
+        state about to be built or restored does not follow from it."""
+        try:
+            self.flush()
+        except Exception:
+            pass
+        self._failed = None
 
 
 class StreamEngine:
@@ -573,6 +603,7 @@ class StreamEngine:
                 _, fs = inflight.pop(0)
                 self._absorb(ray.get(fs), collect, per_epoch_emitted, ledger)
 
+        flushed = False
         try:
             schedule = list(range(start_epoch, len(epochs)))
             if stop_after_epoch is not None:
@@ -616,8 +647,15 @@ class StreamEngine:
             drain(0)
             for p, done in enumerate(ray.get(flushes)):
                 self._settle(ledger, p, done)
+            flushed = True
         finally:
             if self.keep_workers:
+                if not flushed:
+                    # a failed run still leaves no write in flight for
+                    # the pool's next run to hand back: wait for every
+                    # actor's queued epochs and drop their results
+                    ray.wait([w.flush.remote() for w in workers],
+                             num_returns=len(workers))
                 self._workers = workers
             else:
                 for w in workers:

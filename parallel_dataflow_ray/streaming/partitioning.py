@@ -243,15 +243,15 @@ def dataset_epochs(ds, ts_column: str = "event_ts",
     return epochs
 
 
-def load_epoch(source, columns: list | None = None) -> pa.Table:
+def load_epoch(source, columns: list | None = None, *,
+               use_threads: bool = True) -> pa.Table:
     """Resolve an epoch source (in-memory table, object-store block ref,
     or parquet fragment descriptor — optionally a row-group range of the
     fragment via ``rg_start``/``rg_count``).  ``columns`` prunes the
     PHYSICAL read for fragment sources (only those column chunks leave
     storage); in-memory sources are returned as-is (the caller selects).
-    A fragment is read on the calling thread (``use_threads=False``):
-    every reader is already one of several actors or map tasks running
-    side by side, so Arrow's own pool would only add contention."""
+    ``use_threads`` is passed to the parquet reader: False reads the
+    fragment on the calling thread."""
     if isinstance(source, pa.Table):
         return source
     if "ref" in source:
@@ -268,8 +268,9 @@ def load_epoch(source, columns: list | None = None) -> pa.Table:
     if "rg_start" in source:
         groups = list(range(source["rg_start"],
                             source["rg_start"] + source["rg_count"]))
-        return pf.read_row_groups(groups, columns=cols, use_threads=False)
-    return pf.read(columns=cols, use_threads=False)
+        return pf.read_row_groups(groups, columns=cols,
+                                  use_threads=use_threads)
+    return pf.read(columns=cols, use_threads=use_threads)
 
 
 def interleave_streams(left: pa.Table, right: pa.Table) -> pa.Table:

@@ -232,16 +232,21 @@ def test_ledger_rows_carry_writer_times(tmp_path):
 @pytest.mark.parametrize("partial", [False, True],
                          ids=["clean-stop", "partial-commit"])
 def test_run_returns_after_every_commit(tmp_path, partial):
-    """Right after ``run`` returns, the sink's lineage holds exactly the
-    (partition, epoch) pairs the call committed: no epoch is still on a
-    writer thread."""
+    """When ``run`` returns, the sink's lineage holds exactly the
+    (partition, epoch) pairs the call committed, and exactly their
+    metrics rows carry the writer's commit time: the last epoch's writes
+    were waited for, not left to race the actors' kill.  A partition
+    that does not commit the last epoch writes nothing for it."""
     epochs = epochs_from_table(_table(), EPOCH_ROWS)
     k = len(epochs) // 2
     cp = {0, 2} if partial else None
-    _engine(tmp_path).run(epochs, stop_after_epoch=k, commit_partitions=cp)
+    res = _engine(tmp_path).run(epochs, stop_after_epoch=k,
+                                commit_partitions=cp)
     want = {(p, e) for p in range(P) for e in range(k)}
     want |= {(p, k) for p in (cp if partial else range(P))}
     assert _lineage_pairs(tmp_path / "sink") == want
+    assert {(m["partition"], m["epoch"]) for m in res["metrics"]
+            if m["commit_s"] > 0} == want
 
 
 def test_persistent_pool_streams_do_not_share_writes(tmp_path):

@@ -142,3 +142,58 @@ def test_write_crash_self_heals(tmp_path):
     assert (tmp_path / "killed").exists()
     assert res["recoveries"] == 1
     assert _sink_rows(tmp_path / "sink") == _oracle(kw)
+
+
+def test_failed_commit_leaves_no_later_checkpoint(tmp_path):
+    """A sink commit that raises (a disk error, say) on the writer thread
+    fails the run, and the partition writes nothing for any later epoch:
+    no checkpoint at or past the lost epoch, so a resume replays it.  The
+    pool is kept, so every epoch already queued on the actors runs before
+    the checks; after ``reset_state`` the same pool runs a clean stream."""
+    kw = {"spec": KERNELS["clip_stats"](), "assigner": WIN}
+    epochs = _epochs()
+
+    def engine(sink):
+        return StreamEngine(
+            "window", dict(kw), num_partitions=3,
+            allowed_lateness_us=LATENESS_US, sink_root=str(tmp_path / sink),
+            ckpt_root=str(tmp_path / f"{sink}-ckpt"), ckpt_interval=2)
+
+    # an even epoch that emits on some partition, with two checkpoint
+    # epochs (odd, interval 2) after it
+    engine("ref").run(epochs)
+    p, e = min((r["partition"], r["epoch"])
+               for r in ExactlyOnceSink.lineage(str(tmp_path / "ref"))
+               if r["rows"] and r["epoch"] % 2 == 0
+               and 2 <= r["epoch"] <= len(epochs) - 4)
+    # the fragment's temp path is a directory, so that commit raises
+    block = tmp_path / "sink" / "data" / f"p{p:05d}-e{e:06d}.parquet.tmp"
+    block.mkdir(parents=True)
+
+    eng = engine("sink")
+    eng.keep_workers = True
+    try:
+        with pytest.raises(OSError):
+            eng.run(epochs)
+        store = CheckpointStore(str(tmp_path / "sink-ckpt"), p)
+        assert store.latest_epoch() == e - 1
+        assert not [f for f in (tmp_path / "sink-ckpt" / f"p{p:05d}").iterdir()
+                    if f.suffix == ".ckpt" and int(f.stem[1:]) >= e]
+        committed = {r["epoch"] for r in ExactlyOnceSink.lineage(
+            str(tmp_path / "sink")) if r["partition"] == p}
+        assert committed == set(range(e))
+
+        eng.reset_state(new_sink_root=str(tmp_path / "clean"),
+                        new_ckpt_root=str(tmp_path / "clean-ckpt"))
+        eng.run(epochs)
+        assert _sink_rows(tmp_path / "clean") == _oracle(kw)
+    finally:
+        eng.close()
+
+    block.rmdir()
+    res = engine("sink").run(epochs)
+    assert res["start_epoch"] == e
+    assert _sink_rows(tmp_path / "sink") == _oracle(kw)
+    lin = ExactlyOnceSink.lineage(str(tmp_path / "sink"))
+    assert len({(r["partition"], r["epoch"]) for r in lin}) == len(lin) \
+        == 3 * len(epochs)
